@@ -1,37 +1,43 @@
 //! Elimination-algorithm pipelines (§4.3): LU decomposition and the
-//! Faddeev algorithm executed by the *same* partitioned-array machinery
-//! that runs transitive closure.
+//! Faddeev algorithm compiled and executed by the *same* mappings that run
+//! transitive closure.
 //!
 //! The closure engines map the uniform Fig. 17 parallelogram; here the
 //! G-graph is a [`GenericGGraph`] elimination trapezoid whose rows shrink
 //! (`len = msize - k`), so G-node computation times *vary* across rows
-//! while staying uniform within a row — exactly the §4.3 situation. The
-//! two mappings mirror their closure counterparts:
+//! while staying uniform within a row — exactly the §4.3 situation. A
+//! mapping never looks inside a G-node, so [`EliminationMapping`] only
+//! selects which closure mapping compiles the graph:
 //!
-//! * [`EliminationMapping::Linear`] — LPGS onto `m` chained cells: cell
-//!   `c` owns skewed positions `h ≡ c (mod m)`; every G-set is a slice of
-//!   *one* row, so members share a computation time and no cell idles
-//!   inside a set (Fig. 22b's equal-time paths).
-//! * [`EliminationMapping::Grid`] — cut-and-pile onto `√m × √m` cells:
+//! * [`EliminationMapping::Linear`] — [`LpgsMapping`] onto `m` chained
+//!   cells: cell `c` owns skewed positions `h ≡ c (mod m)`; every G-set is
+//!   a slice of *one* row, so members share a computation time and no cell
+//!   idles inside a set (Fig. 22b's equal-time paths).
+//! * [`EliminationMapping::Grid`] — [`GridMapping`] onto `√m × √m` cells:
 //!   a G-set is an `s × s` block of `(k, h)` space mixing `s` different
 //!   row times, so fast members idle until the slowest finishes — the
 //!   *time mixing* that §4.3 charges against two-dimensional G-sets.
 //!
-//! Cells run [`TaskKind::DivHead`] / [`TaskKind::ElimFuse`] programs over
-//! the [`Real`] semiring; each fuse's finished
+//! The graph's elimination family makes its cells run divider-head and
+//! update-fuse programs over the [`Real`] semiring; each fuse's finished
 //! pivot-row element leaves through the task's dedicated `head_out`
 //! stream, each level's pivot stream (the `L` column) drains at the row's
 //! right edge, and the last level's fused sub-columns are the remaining
-//! trailing block. [`run_elimination`] reassembles those streams into the
-//! full in-place elimination state — for LU the compact `L\U` factors,
+//! trailing block. [`run_elimination_timed`] reassembles those streams into
+//! the full in-place elimination state — for LU the compact `L\U` factors,
 //! bit-identical to the straight-line reference (identical expression
-//! trees, same f64 operations in the same order).
+//! trees, same f64 operations in the same order). Per-level durations
+//! enter only through the graph ([`GenericGGraph::with_row_durations`]).
 
-use crate::engine::{stream_key, EngineError};
-use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{RunStats, StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
+use crate::engine::EngineError;
+use crate::grid::GridMapping;
+use crate::linear::LpgsMapping;
+use crate::mapping::Mapping;
+use crate::plan::CompiledPlan;
+use crate::wiring::OutputLayout;
+use systolic_arraysim::RunStats;
 use systolic_semiring::{DenseMatrix, Real};
-use systolic_transform::{GenRole, GenericGGraph};
+use systolic_transform::GenericGGraph;
 
 /// Which elimination algorithm to pipeline.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -107,84 +113,26 @@ impl EliminationMapping {
     /// Total number of cells.
     pub fn cells(self) -> usize {
         match self {
-            EliminationMapping::Linear { m } => m,
-            EliminationMapping::Grid { s } => s * s,
+            EliminationMapping::Linear { m } => LpgsMapping::new(m).cells(),
+            EliminationMapping::Grid { s } => GridMapping::new(s).cells(),
         }
     }
 
-    fn validate(self) -> Result<(), EngineError> {
-        let ok = match self {
-            EliminationMapping::Linear { m } => m >= 1,
-            EliminationMapping::Grid { s } => s >= 1,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(EngineError::BadInput(
-                "elimination mapping needs at least one cell".into(),
-            ))
+    /// Validates the geometry and compiles `gg` on it — through the very
+    /// mapping that runs transitive closure on the same array.
+    fn compile(self, gg: &GenericGGraph, batch_len: usize) -> Result<CompiledPlan, EngineError> {
+        fn on<M: Mapping>(
+            mapping: M,
+            gg: &GenericGGraph,
+            batch_len: usize,
+        ) -> Result<CompiledPlan, EngineError> {
+            mapping.validate()?;
+            Ok(mapping.graph_plan(gg, batch_len))
         }
-    }
-}
-
-/// Where the elimination pipeline's result elements land in the output
-/// streams, shared by the plan builders (writing) and the assembler
-/// (reading). Per instance, the streams are laid out as:
-///
-/// 1. one single-word *head* stream per fuse `(k, h)` — the finished
-///    pivot-row element `u_kh`;
-/// 2. one *L-column* stream per level `k` — the pivot stream
-///    `[u_kk, l_{k+1,k}, …]` draining at the row's right edge;
-/// 3. one *tail* stream per trailing column `h ≥ levels` — the last
-///    level's fused sub-column (rows `levels..msize`).
-#[derive(Copy, Clone, Debug)]
-struct OutputLayout {
-    msize: usize,
-    levels: usize,
-    out0: usize,
-}
-
-impl OutputLayout {
-    fn new(msize: usize, levels: usize, out0: usize) -> Self {
-        Self {
-            msize,
-            levels,
-            out0,
+        match self {
+            EliminationMapping::Linear { m } => on(LpgsMapping::new(m), gg, batch_len),
+            EliminationMapping::Grid { s } => on(GridMapping::new(s), gg, batch_len),
         }
-    }
-
-    /// Streams per instance.
-    fn per_instance(&self) -> usize {
-        self.heads_total() + self.levels + (self.msize - self.levels)
-    }
-
-    fn heads_total(&self) -> usize {
-        // Row k has msize - k - 1 fuses.
-        (0..self.levels).map(|k| self.msize - k - 1).sum()
-    }
-
-    /// Head stream of fuse `(k, h)` (`h > k`).
-    fn head(&self, inst: usize, k: usize, h: usize) -> usize {
-        debug_assert!(k < self.levels && h > k && h < self.msize);
-        let before: usize = (0..k).map(|kk| self.msize - kk - 1).sum();
-        self.out0 + inst * self.per_instance() + before + (h - k - 1)
-    }
-
-    /// L-column stream of level `k` (`msize - k` words).
-    fn lcol(&self, inst: usize, k: usize) -> usize {
-        debug_assert!(k < self.levels);
-        self.out0 + inst * self.per_instance() + self.heads_total() + k
-    }
-
-    /// Trailing-column stream of column `h ≥ levels`
-    /// (`msize - levels` words).
-    fn tail(&self, inst: usize, h: usize) -> usize {
-        debug_assert!(h >= self.levels && h < self.msize);
-        self.out0
-            + inst * self.per_instance()
-            + self.heads_total()
-            + self.levels
-            + (h - self.levels)
     }
 }
 
@@ -214,21 +162,13 @@ pub fn level_durations(algo: Algo, n: usize) -> Vec<u32> {
 }
 
 /// Compiles the plan for one elimination pipeline: `batch_len` instances
-/// of `algo` at problem size `n` on `mapping`, with every G-node at the
-/// default per-word duration of 1.
-pub fn elimination_plan(
-    algo: Algo,
-    n: usize,
-    mapping: EliminationMapping,
-    batch_len: usize,
-) -> CompiledPlan {
-    plan_for(&algo.graph(n), algo, n, mapping, batch_len)
-}
-
-/// [`elimination_plan`] with **varying per-row G-node durations** (§4.3):
-/// every word of a row-`k` G-node occupies its cell for `durs[k]` cycles.
-/// Durations change utilization, never results — outputs stay bit-identical
-/// to the uniform plan.
+/// of `algo` at problem size `n` on `mapping`, with **per-row G-node
+/// durations** (§4.3): every word of a row-`k` G-node occupies its cell for
+/// `durs[k]` cycles. Durations change utilization, never results.
+///
+/// # Panics
+/// When `mapping` has no cells, or `durs` is not one duration ≥ 1 per
+/// level.
 pub fn elimination_plan_timed(
     algo: Algo,
     n: usize,
@@ -236,270 +176,9 @@ pub fn elimination_plan_timed(
     batch_len: usize,
     durs: &[u32],
 ) -> CompiledPlan {
-    plan_for(
-        &algo.graph(n).with_row_durations(durs),
-        algo,
-        n,
-        mapping,
-        batch_len,
-    )
-}
-
-fn plan_for(
-    gg: &GenericGGraph,
-    algo: Algo,
-    n: usize,
-    mapping: EliminationMapping,
-    batch_len: usize,
-) -> CompiledPlan {
-    match mapping {
-        EliminationMapping::Linear { m } => linear_plan(gg, algo, n, m, batch_len),
-        EliminationMapping::Grid { s } => grid_plan(gg, algo, n, s, batch_len),
-    }
-}
-
-fn cycle_budget(gg: &GenericGGraph, batch_len: usize) -> u64 {
-    let total: u64 = (0..gg.rows())
-        .map(|k| gg.row(k).width as u64 * gg.row(k).gnode_time())
-        .sum();
-    batch_len as u64 * (total * 40 + 1_000) + 200_000
-}
-
-/// LPGS chain: cell `c` owns `h ≡ c (mod m)`; blocks of `m` consecutive
-/// `h` positions advance left to right, levels top to bottom inside a
-/// block (the Fig. 20a vertical-path schedule on the trapezoid).
-fn linear_plan(
-    gg: &GenericGGraph,
-    algo: Algo,
-    n: usize,
-    m: usize,
-    batch_len: usize,
-) -> CompiledPlan {
-    let msize = algo.msize(n);
-    let levels = algo.levels(n);
-    let blocks = msize.div_ceil(m);
-    let mut plan = PlanBuilder::new(msize, batch_len, m);
-
-    // Neighbor links c → c+1 carry the intra-block pivot chain.
-    let links: Vec<usize> = (0..m.saturating_sub(1)).map(|_| plan.add_link()).collect();
-    // Private column bank per cell plus the shared pivot boundary bank.
-    for _ in 0..=m {
-        plan.add_bank();
-    }
-    let pivot_bank = m;
-    plan.set_memory_connections(m + 1);
-    let layout = OutputLayout::new(msize, levels, plan.add_outputs(0));
-    plan.add_outputs(batch_len * layout.per_instance());
-
-    // Host demands in schedule order: level 0 reads whole input columns.
-    for inst in 0..batch_len {
-        for b in 0..blocks {
-            for c in 0..m {
-                let h = b * m + c;
-                if h < msize {
-                    plan.feed_host(c, stream_key(inst, 0, h), inst, h);
-                }
-            }
-        }
-    }
-
-    for inst in 0..batch_len {
-        for b in 0..blocks {
-            for k in 0..levels {
-                for c in 0..m {
-                    let h = b * m + c;
-                    let Some(role) = gg.at_h(k, h) else { continue };
-                    let row = gg.row(k);
-                    let kind = match role {
-                        GenRole::Head => TaskKind::DivHead,
-                        GenRole::Fuse => TaskKind::ElimFuse,
-                        GenRole::Tail => unreachable!("elimination rows have no tail"),
-                    };
-                    let col_in = if k == 0 {
-                        Some(plan.host_src(c, stream_key(inst, 0, h)))
-                    } else {
-                        Some(plan.bank_src(c, stream_key(inst, k - 1, h)))
-                    };
-                    let pivot_in = match role {
-                        GenRole::Head => None,
-                        _ if c > 0 => Some(StreamSrc::Link(links[c - 1])),
-                        _ => Some(plan.bank_src(pivot_bank, stream_key(inst, k, h - 1))),
-                    };
-                    // The fused sub-column: down to the next level, or out
-                    // as a trailing column after the last level.
-                    let col_out = match role {
-                        GenRole::Head => None,
-                        _ if k == levels - 1 => Some(StreamDst::Output {
-                            stream: layout.tail(inst, h),
-                        }),
-                        _ => Some(plan.bank_dst(c, stream_key(inst, k, h))),
-                    };
-                    // The pivot stream: right along the row, draining as
-                    // the finished L column at the row's last position.
-                    let pivot_out = if h == msize - 1 {
-                        Some(StreamDst::Output {
-                            stream: layout.lcol(inst, k),
-                        })
-                    } else if c < m - 1 {
-                        Some(StreamDst::Link(links[c]))
-                    } else {
-                        Some(plan.bank_dst(pivot_bank, stream_key(inst, k, h)))
-                    };
-                    let head_out = match role {
-                        GenRole::Fuse => Some(StreamDst::Output {
-                            stream: layout.head(inst, k, h),
-                        }),
-                        _ => None,
-                    };
-                    plan.push_task(
-                        c,
-                        Task {
-                            kind,
-                            len: row.len,
-                            col_in,
-                            pivot_in,
-                            col_out,
-                            pivot_out,
-                            head_out,
-                            duration: row.duration,
-                            useful_ops: gg.useful_ops(k, h),
-                            label: TaskLabel {
-                                k: k as u32,
-                                h: h as u32,
-                            },
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    plan.set_max_cycles(cycle_budget(gg, batch_len));
-    plan.finish()
-}
-
-/// Cut-and-pile grid: G-node `(k, h)` runs on cell `(k mod s, h mod s)`;
-/// `h`-blocks advance left to right, `k`-blocks top to bottom inside.
-fn grid_plan(gg: &GenericGGraph, algo: Algo, n: usize, s: usize, batch_len: usize) -> CompiledPlan {
-    let msize = algo.msize(n);
-    let levels = algo.levels(n);
-    let bcols = msize.div_ceil(s);
-    let brows = levels.div_ceil(s);
-    let cell_id = |ri: usize, ci: usize| ri * s + ci;
-    let mut plan = PlanBuilder::new(msize, batch_len, s * s);
-
-    // Horizontal pivot links (ri,ci) → (ri,ci+1); vertical column links
-    // (ri,ci) → (ri+1,ci).
-    let mut hl = vec![usize::MAX; s * s];
-    let mut vl = vec![usize::MAX; s * s];
-    for ri in 0..s {
-        for ci in 0..s {
-            if ci + 1 < s {
-                hl[cell_id(ri, ci)] = plan.add_link();
-            }
-            if ri + 1 < s {
-                vl[cell_id(ri, ci)] = plan.add_link();
-            }
-        }
-    }
-    for _ in 0..2 * s {
-        plan.add_bank();
-    }
-    let col_bank = |ci: usize| ci;
-    let piv_bank = |ri: usize| s + ri;
-    plan.set_memory_connections(2 * s);
-    let layout = OutputLayout::new(msize, levels, plan.add_outputs(0));
-    plan.add_outputs(batch_len * layout.per_instance());
-
-    for inst in 0..batch_len {
-        for bc in 0..bcols {
-            for ci in 0..s {
-                let h = bc * s + ci;
-                if h < msize {
-                    plan.feed_host(cell_id(0, ci), stream_key(inst, 0, h), inst, h);
-                }
-            }
-        }
-    }
-
-    for inst in 0..batch_len {
-        for bc in 0..bcols {
-            for br in 0..brows {
-                for ri in 0..s {
-                    for ci in 0..s {
-                        let k = br * s + ri;
-                        let h = bc * s + ci;
-                        if k >= levels {
-                            continue;
-                        }
-                        let Some(role) = gg.at_h(k, h) else { continue };
-                        let row = gg.row(k);
-                        let kind = match role {
-                            GenRole::Head => TaskKind::DivHead,
-                            GenRole::Fuse => TaskKind::ElimFuse,
-                            GenRole::Tail => unreachable!("elimination rows have no tail"),
-                        };
-                        let col_in = if k == 0 {
-                            Some(plan.host_src(cell_id(ri, ci), stream_key(inst, 0, h)))
-                        } else if ri > 0 {
-                            Some(StreamSrc::Link(vl[cell_id(ri - 1, ci)]))
-                        } else {
-                            Some(plan.bank_src(col_bank(ci), stream_key(inst, k - 1, h)))
-                        };
-                        let pivot_in = match role {
-                            GenRole::Head => None,
-                            _ if ci > 0 => Some(StreamSrc::Link(hl[cell_id(ri, ci - 1)])),
-                            _ => Some(plan.bank_src(piv_bank(ri), stream_key(inst, k, h - 1))),
-                        };
-                        let col_out = match role {
-                            GenRole::Head => None,
-                            _ if k == levels - 1 => Some(StreamDst::Output {
-                                stream: layout.tail(inst, h),
-                            }),
-                            _ if ri + 1 < s => Some(StreamDst::Link(vl[cell_id(ri, ci)])),
-                            _ => Some(plan.bank_dst(col_bank(ci), stream_key(inst, k, h))),
-                        };
-                        let pivot_out = if h == msize - 1 {
-                            Some(StreamDst::Output {
-                                stream: layout.lcol(inst, k),
-                            })
-                        } else if ci + 1 < s {
-                            Some(StreamDst::Link(hl[cell_id(ri, ci)]))
-                        } else {
-                            Some(plan.bank_dst(piv_bank(ri), stream_key(inst, k, h)))
-                        };
-                        let head_out = match role {
-                            GenRole::Fuse => Some(StreamDst::Output {
-                                stream: layout.head(inst, k, h),
-                            }),
-                            _ => None,
-                        };
-                        plan.push_task(
-                            cell_id(ri, ci),
-                            Task {
-                                kind,
-                                len: row.len,
-                                col_in,
-                                pivot_in,
-                                col_out,
-                                pivot_out,
-                                head_out,
-                                duration: row.duration,
-                                useful_ops: gg.useful_ops(k, h),
-                                label: TaskLabel {
-                                    k: k as u32,
-                                    h: h as u32,
-                                },
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    plan.set_max_cycles(cycle_budget(gg, batch_len));
-    plan.finish()
+    mapping
+        .compile(&algo.graph(n).with_row_durations(durs), batch_len)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs one elimination instance through the simulated partitioned array
@@ -520,7 +199,8 @@ pub fn run_elimination(
     mapping: EliminationMapping,
     a: &DenseMatrix<Real>,
 ) -> Result<(DenseMatrix<Real>, RunStats), EngineError> {
-    run_impl(algo, mapping, a, None)
+    let n = problem_size(algo, a)?;
+    run_elimination_timed(algo, mapping, a, &vec![1; algo.levels(n)])
 }
 
 /// [`run_elimination`] with varying per-row G-node durations (§4.3):
@@ -537,16 +217,56 @@ pub fn run_elimination_timed(
     a: &DenseMatrix<Real>,
     durs: &[u32],
 ) -> Result<(DenseMatrix<Real>, RunStats), EngineError> {
-    run_impl(algo, mapping, a, Some(durs))
+    let n = problem_size(algo, a)?;
+    let levels = algo.levels(n);
+    if durs.len() != levels || durs.contains(&0) {
+        return Err(EngineError::BadInput(format!(
+            "need {levels} per-level durations ≥ 1, got {durs:?}"
+        )));
+    }
+    let gg = algo.graph(n).with_row_durations(durs);
+    let plan = mapping.compile(&gg, 1)?;
+    let mut sim = plan.instantiate::<Real>(false);
+    plan.load(&mut sim, std::slice::from_ref(a));
+    let stats = sim.run()?;
+
+    let msize = a.rows();
+    let layout = OutputLayout::new(&gg, 0);
+    let outs = sim.outputs();
+    let expect = |stream: usize, want: usize| -> Result<&Vec<f64>, EngineError> {
+        let s = &outs[stream];
+        if s.len() == want {
+            Ok(s)
+        } else {
+            Err(EngineError::Corrupt {
+                instance: 0,
+                detail: format!("output stream {stream} has {} of {want} words", s.len()),
+            })
+        }
+    };
+
+    let mut f = DenseMatrix::<Real>::zeros(msize, msize);
+    for k in 0..levels {
+        let lcol = expect(layout.lcol(0, k), msize - k)?;
+        for (r, &v) in lcol.iter().enumerate() {
+            f.set(k + r, k, v);
+        }
+        for h in k + 1..msize {
+            let head = expect(layout.head(0, k, k, h), 1)?;
+            f.set(k, h, head[0]);
+        }
+    }
+    for h in levels..msize {
+        let tail = expect(layout.trailing(0, h), msize - levels)?;
+        for (r, &v) in tail.iter().enumerate() {
+            f.set(levels + r, h, v);
+        }
+    }
+    Ok((f, stats))
 }
 
-fn run_impl(
-    algo: Algo,
-    mapping: EliminationMapping,
-    a: &DenseMatrix<Real>,
-    durs: Option<&[u32]>,
-) -> Result<(DenseMatrix<Real>, RunStats), EngineError> {
-    mapping.validate()?;
+/// Checks an elimination input's shape and returns the problem size `n`.
+fn problem_size(algo: Algo, a: &DenseMatrix<Real>) -> Result<usize, EngineError> {
     let msize = a.rows();
     if a.cols() != msize {
         return Err(EngineError::BadInput(format!(
@@ -572,206 +292,5 @@ fn run_impl(
             algo.name()
         )));
     }
-
-    let plan = match durs {
-        None => elimination_plan(algo, n, mapping, 1),
-        Some(d) => {
-            if d.len() != algo.levels(n) || d.iter().any(|&x| x < 1) {
-                return Err(EngineError::BadInput(format!(
-                    "need {} per-level durations ≥ 1, got {:?}",
-                    algo.levels(n),
-                    d
-                )));
-            }
-            elimination_plan_timed(algo, n, mapping, 1, d)
-        }
-    };
-    let mut sim = plan.instantiate::<Real>(false);
-    plan.load(&mut sim, std::slice::from_ref(a));
-    let stats = sim.run()?;
-
-    let levels = algo.levels(n);
-    let layout = OutputLayout::new(msize, levels, 0);
-    let outs = sim.outputs();
-    let expect = |stream: usize, want: usize| -> Result<&Vec<f64>, EngineError> {
-        let s = &outs[stream];
-        if s.len() == want {
-            Ok(s)
-        } else {
-            Err(EngineError::Corrupt {
-                instance: 0,
-                detail: format!("output stream {stream} has {} of {want} words", s.len()),
-            })
-        }
-    };
-
-    let mut f = DenseMatrix::<Real>::zeros(msize, msize);
-    for k in 0..levels {
-        let lcol = expect(layout.lcol(0, k), msize - k)?;
-        for (r, &v) in lcol.iter().enumerate() {
-            f.set(k + r, k, v);
-        }
-        for h in k + 1..msize {
-            let head = expect(layout.head(0, k, h), 1)?;
-            f.set(k, h, head[0]);
-        }
-    }
-    for h in levels..msize {
-        let tail = expect(layout.tail(0, h), msize - levels)?;
-        for (r, &v) in tail.iter().enumerate() {
-            f.set(levels + r, h, v);
-        }
-    }
-    Ok((f, stats))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn test_matrix(msize: usize, seed: u64) -> DenseMatrix<Real> {
-        elimination_input(msize, seed)
-    }
-
-    /// Straight-line in-place elimination: the bit-exact reference.
-    fn elimination_reference(a: &DenseMatrix<Real>, levels: usize) -> DenseMatrix<Real> {
-        let n = a.rows();
-        let mut x = a.clone();
-        for k in 0..levels {
-            for i in k + 1..n {
-                let l = x.get(i, k) / x.get(k, k);
-                x.set(i, k, l);
-            }
-            for i in k + 1..n {
-                for j in k + 1..n {
-                    let v = x.get(i, j) - x.get(i, k) * x.get(k, j);
-                    x.set(i, j, v);
-                }
-            }
-        }
-        x
-    }
-
-    fn assert_bit_equal(got: &DenseMatrix<Real>, want: &DenseMatrix<Real>, tag: &str) {
-        let n = got.rows();
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(got.get(i, j), want.get(i, j), "{tag} ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn lu_linear_matches_reference_across_cell_counts() {
-        for n in [2usize, 3, 5, 8] {
-            let a = test_matrix(n, n as u64);
-            let want = elimination_reference(&a, n - 1);
-            for m in [1usize, 2, 3, 4, 7] {
-                let (got, stats) =
-                    run_elimination(Algo::Lu, EliminationMapping::Linear { m }, &a).unwrap();
-                assert_bit_equal(&got, &want, &format!("n={n} m={m}"));
-                assert_eq!(stats.memory_connections, m + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn lu_grid_matches_reference_across_sides() {
-        for n in [3usize, 5, 8] {
-            let a = test_matrix(n, 40 + n as u64);
-            let want = elimination_reference(&a, n - 1);
-            for s in [1usize, 2, 3] {
-                let (got, stats) =
-                    run_elimination(Algo::Lu, EliminationMapping::Grid { s }, &a).unwrap();
-                assert_bit_equal(&got, &want, &format!("n={n} s={s}"));
-                assert_eq!(stats.memory_connections, 2 * s);
-            }
-        }
-    }
-
-    #[test]
-    fn faddeev_matches_reference_on_both_mappings() {
-        let n = 3;
-        let a = test_matrix(2 * n, 7);
-        let want = elimination_reference(&a, n);
-        for mapping in [
-            EliminationMapping::Linear { m: 2 },
-            EliminationMapping::Linear { m: 4 },
-            EliminationMapping::Grid { s: 2 },
-        ] {
-            let (got, _) = run_elimination(Algo::Faddeev, mapping, &a).unwrap();
-            assert_bit_equal(&got, &want, &format!("{mapping:?}"));
-        }
-    }
-
-    #[test]
-    fn useful_ops_match_the_generic_graph() {
-        let n = 6;
-        let a = test_matrix(n, 3);
-        let (_, stats) =
-            run_elimination(Algo::Lu, EliminationMapping::Linear { m: 3 }, &a).unwrap();
-        assert_eq!(stats.useful_ops, GenericGGraph::lu(n).total_useful_ops());
-    }
-
-    fn lu_durations(n: usize) -> Vec<u32> {
-        level_durations(Algo::Lu, n)
-    }
-
-    #[test]
-    fn varying_durations_never_change_the_result() {
-        let n = 7;
-        let a = test_matrix(n, 9);
-        let (want, uniform) =
-            run_elimination(Algo::Lu, EliminationMapping::Linear { m: 3 }, &a).unwrap();
-        for mapping in [
-            EliminationMapping::Linear { m: 3 },
-            EliminationMapping::Grid { s: 2 },
-        ] {
-            let (got, timed) =
-                run_elimination_timed(Algo::Lu, mapping, &a, &lu_durations(n)).unwrap();
-            assert_bit_equal(&got, &want, &format!("{mapping:?} timed"));
-            assert!(timed.cycles > uniform.cycles, "durations must cost cycles");
-        }
-    }
-
-    #[test]
-    fn linear_beats_grid_occupancy_under_varying_times() {
-        // §4.3: with monotone per-row durations, linear G-sets never mix
-        // times (one row per set) while an s×s block chains a fast row
-        // behind a slow one, throttling it to the slow row's word rate.
-        // At equal cell counts (m = s² = 4) measured occupancy must favor
-        // the linear chain.
-        let n = 12;
-        let a = test_matrix(n, 5);
-        let durs = lu_durations(n);
-        let (_, lin) =
-            run_elimination_timed(Algo::Lu, EliminationMapping::Linear { m: 4 }, &a, &durs)
-                .unwrap();
-        let (_, grid) =
-            run_elimination_timed(Algo::Lu, EliminationMapping::Grid { s: 2 }, &a, &durs).unwrap();
-        assert!(
-            lin.occupancy() >= grid.occupancy(),
-            "linear {} < grid {}",
-            lin.occupancy(),
-            grid.occupancy()
-        );
-    }
-
-    #[test]
-    fn bad_inputs_are_rejected() {
-        let a = test_matrix(5, 1); // odd size: no Faddeev compound
-        assert!(matches!(
-            run_elimination(Algo::Faddeev, EliminationMapping::Linear { m: 2 }, &a),
-            Err(EngineError::BadInput(_))
-        ));
-        assert!(matches!(
-            run_elimination(Algo::Lu, EliminationMapping::Linear { m: 0 }, &a),
-            Err(EngineError::BadInput(_))
-        ));
-        let tiny = test_matrix(1, 1);
-        assert!(matches!(
-            run_elimination(Algo::Lu, EliminationMapping::Linear { m: 1 }, &tiny),
-            Err(EngineError::BadInput(_))
-        ));
-    }
+    Ok(n)
 }

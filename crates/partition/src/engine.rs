@@ -151,20 +151,6 @@ pub(crate) fn prepare_batch<S: PathSemiring>(
     Ok((n, mats.iter().map(reflexive).collect()))
 }
 
-/// Ideal cycle count per problem instance on `m` cells: `n²(n+1)/m`.
-///
-/// The schedule executes `n(n+1)` G-nodes of `n` cycles each, spread over
-/// `m` cells with data transfer overlapped with computation, so the ideal
-/// (zero-stall, perfectly balanced) runtime is `n²(n+1)/m` cycles — the
-/// reciprocal of the paper's §4 throughput `T = m/(n²(n+1))`. Engines
-/// derive their cycle budgets from this one formula: the linear and grid
-/// engines add 1 for the pipeline-fill rounding slack, and the fixed linear
-/// array is the `m = 1` (per-column) case.
-#[inline]
-pub(crate) fn ideal_cycles_per_instance(n: usize, m: usize) -> u64 {
-    (n as u64) * (n as u64) * (n as u64 + 1) / m as u64
-}
-
 /// Packs `(instance, k, h)` into a unique stream key.
 ///
 /// The field widths are enforced by [`validate_batch`] before any engine
@@ -217,16 +203,6 @@ mod tests {
             Err(EngineError::BadInput(msg)) => assert!(msg.contains("16-bit"), "{msg}"),
             other => panic!("expected BadInput, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn ideal_cycles_is_n_squared_n_plus_one_over_m() {
-        // Pin the budget formula: n²(n+1)/m, integer division.
-        assert_eq!(ideal_cycles_per_instance(6, 3), 36 * 7 / 3);
-        assert_eq!(ideal_cycles_per_instance(6, 3), 84);
-        assert_eq!(ideal_cycles_per_instance(4, 1), 16 * 5);
-        assert_eq!(ideal_cycles_per_instance(5, 4), 25 * 6 / 4);
-        assert_eq!(ideal_cycles_per_instance(5, 4), 37, "rounds down");
     }
 
     #[test]

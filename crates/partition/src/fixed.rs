@@ -17,11 +17,12 @@
 //! memoized `CompiledPlan` and reuse a reset simulator across calls (see
 //! [`crate::plan`]).
 
-use crate::engine::{ideal_cycles_per_instance, stream_key};
+use crate::engine::stream_key;
 use crate::mapping::{MappedEngine, Mapping};
 use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
-use systolic_transform::{GGraph, GNodeRole, GnodeId};
+use crate::wiring::{Ends, Wiring};
+use systolic_arraysim::{StreamDst, StreamSrc};
+use systolic_transform::GenericGGraph;
 
 /// The Fig. 17 mapping: one cell per G-node, neighbor links only.
 #[derive(Clone, Debug, Default)]
@@ -43,31 +44,33 @@ impl Mapping for FixedArrayMapping {
         0 // problem-size dependent; see cells_for
     }
 
-    fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
-        let gg = GGraph::new(n);
-        let w = n + 1;
-        let cell_of = |id: GnodeId| id.k * w + id.g;
+    /// One cell per G-node: `(k, g)` with `g = h - k` runs on cell
+    /// `k·w + g` of a `rows × w` array. Built for closure graphs (any row
+    /// durations); other graph families are not supported.
+    fn graph_plan(&self, gg: &GenericGGraph, batch_len: usize) -> CompiledPlan {
+        let rows = gg.rows();
+        let w = gg.row(0).width;
 
-        let mut plan = PlanBuilder::new(n, batch_len, n * w);
+        let mut plan = PlanBuilder::new(gg.row(0).len, batch_len, rows * w);
+        let wire = Wiring::new(gg, &mut plan);
 
         // Pivot links (k,g) → (k,g+1) and column links (k,g) → (k+1,g-1).
-        let mut pl = vec![usize::MAX; n * w];
-        let mut cl = vec![usize::MAX; n * w];
-        for k in 0..n {
+        let mut pl = vec![usize::MAX; rows * w];
+        let mut cl = vec![usize::MAX; rows * w];
+        for k in 0..rows {
             for g in 0..w {
                 if g + 1 < w {
                     pl[k * w + g] = plan.add_link();
                 }
-                if k + 1 < n && g >= 1 {
+                if k + 1 < rows && g >= 1 {
                     cl[k * w + g] = plan.add_link();
                 }
             }
         }
 
-        // n parallel boundary input ports, one per row-0 column cell.
-        let ports: Vec<usize> = (0..n).map(|_| plan.add_bank()).collect();
+        // Parallel boundary input ports, one per row-0 column cell.
+        let ports: Vec<usize> = (0..wire.inputs()).map(|_| plan.add_bank()).collect();
         plan.set_memory_connections(0);
-        let out0 = plan.add_outputs(batch_len * n);
 
         for inst in 0..batch_len {
             for (g, &port) in ports.iter().enumerate() {
@@ -76,56 +79,32 @@ impl Mapping for FixedArrayMapping {
         }
 
         for inst in 0..batch_len {
-            for id in gg.iter() {
-                let (k, g) = (id.k, id.g);
-                let role = gg.role(id);
-                let kind = match role {
-                    GNodeRole::PivotHead => TaskKind::PivotHead,
-                    GNodeRole::Fuse => TaskKind::Fuse,
-                    GNodeRole::DelayTail => TaskKind::DelayTail,
-                };
-                let col_in = match role {
-                    GNodeRole::DelayTail => None,
-                    _ if k == 0 => Some(plan.bank_src(ports[g], stream_key(inst, 0, g))),
-                    _ => Some(StreamSrc::Link(cl[(k - 1) * w + g + 1])),
-                };
-                let pivot_in = match role {
-                    GNodeRole::PivotHead => None,
-                    _ => Some(StreamSrc::Link(pl[k * w + g - 1])),
-                };
-                let col_out = match role {
-                    GNodeRole::PivotHead => None,
-                    _ if k == n - 1 => Some(StreamDst::Output {
-                        stream: out0 + inst * n + (g - 1),
-                    }),
-                    _ => Some(StreamDst::Link(cl[k * w + g])),
-                };
-                let pivot_out = match role {
-                    GNodeRole::DelayTail => None,
-                    _ => Some(StreamDst::Link(pl[k * w + g])),
-                };
-                plan.push_task(
-                    cell_of(id),
-                    Task {
-                        kind,
-                        len: n,
-                        col_in,
-                        pivot_in,
-                        col_out,
-                        pivot_out,
-                        head_out: None,
-                        duration: 1,
-                        useful_ops: gg.useful_ops(id) as u64,
-                        label: TaskLabel {
-                            k: k as u32,
-                            h: gg.h_of(id) as u32,
+            for k in 0..rows {
+                let h_lo = gg.row(k).h_lo;
+                for g in 0..gg.row(k).width {
+                    let cell = k * w + g;
+                    wire.node(
+                        &mut plan,
+                        cell,
+                        inst,
+                        k,
+                        h_lo + g,
+                        Ends {
+                            col_in: |p: &mut PlanBuilder| match k {
+                                0 => p.bank_src(ports[g], stream_key(inst, 0, g)),
+                                _ => StreamSrc::Link(cl[(k - 1) * w + g + 1]),
+                            },
+                            pivot_in: |_: &mut PlanBuilder| StreamSrc::Link(pl[cell - 1]),
+                            col_out: |_: &mut PlanBuilder| StreamDst::Link(cl[cell]),
+                            pivot_out: |_: &mut PlanBuilder| StreamDst::Link(pl[cell]),
                         },
-                    },
-                );
+                    );
+                }
             }
         }
 
-        plan.set_max_cycles((batch_len as u64 + 8) * (n as u64) * 40 + 100_000);
+        let slowest = (0..rows).map(|k| gg.row(k).gnode_time()).max().unwrap_or(0);
+        plan.set_max_cycles((batch_len as u64 + 8) * slowest * 40 + 100_000);
         plan.finish()
     }
 }
@@ -158,80 +137,61 @@ impl Mapping for FixedLinearMapping {
         0 // n cells for problem size n
     }
 
-    fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
-        let gg = GGraph::new(n);
+    /// Row `k` runs on cell `k`, its pivot stream recirculating through
+    /// the cell's loopback bank. Built for closure graphs (any row
+    /// durations); other graph families are not supported.
+    fn graph_plan(&self, gg: &GenericGGraph, batch_len: usize) -> CompiledPlan {
+        let rows = gg.rows();
 
-        let mut plan = PlanBuilder::new(n, batch_len, n);
-        // Bank k: cell k's pivot loopback; bank n+k: row k → k+1 columns.
-        for _ in 0..2 * n {
+        let mut plan = PlanBuilder::new(gg.row(0).len, batch_len, rows);
+        // Bank k: cell k's pivot loopback; bank rows+k: row k → k+1 columns.
+        for _ in 0..2 * rows {
             plan.add_bank();
         }
         let loop_bank = |k: usize| k;
-        let col_bank = |k: usize| n + k;
-        plan.set_memory_connections(2 * n);
-        let out0 = plan.add_outputs(batch_len * n);
+        let col_bank = |k: usize| rows + k;
+        plan.set_memory_connections(2 * rows);
+        let wire = Wiring::new(gg, &mut plan);
 
         // Host: the collapsed row 0 consumes one column at a time, so the
         // single-injection host keeps up (rate 1/(n+1) of a word per cycle).
         for inst in 0..batch_len {
-            for g in 0..n {
-                plan.feed_host(0, stream_key(inst, 0, g), inst, g);
+            for h in 0..wire.inputs() {
+                plan.feed_host(0, stream_key(inst, 0, h), inst, h);
             }
         }
 
         for inst in 0..batch_len {
-            for id in gg.iter() {
-                let (k, g) = (id.k, id.g);
-                let h = gg.h_of(id);
-                let role = gg.role(id);
-                let kind = match role {
-                    GNodeRole::PivotHead => TaskKind::PivotHead,
-                    GNodeRole::Fuse => TaskKind::Fuse,
-                    GNodeRole::DelayTail => TaskKind::DelayTail,
-                };
-                let col_in = match role {
-                    GNodeRole::DelayTail => None,
-                    _ if k == 0 => Some(plan.host_src(0, stream_key(inst, 0, g))),
-                    _ => Some(plan.bank_src(col_bank(k - 1), stream_key(inst, k - 1, h))),
-                };
-                let pivot_in = match role {
-                    GNodeRole::PivotHead => None,
-                    _ => Some(plan.bank_src(loop_bank(k), stream_key(inst, k, h - 1))),
-                };
-                let col_out = match role {
-                    GNodeRole::PivotHead => None,
-                    _ if k == n - 1 => Some(StreamDst::Output {
-                        stream: out0 + inst * n + (h - n),
-                    }),
-                    _ => Some(plan.bank_dst(col_bank(k), stream_key(inst, k, h))),
-                };
-                let pivot_out = match role {
-                    GNodeRole::DelayTail => None,
-                    _ => Some(plan.bank_dst(loop_bank(k), stream_key(inst, k, h))),
-                };
-                plan.push_task(
-                    k,
-                    Task {
-                        kind,
-                        len: n,
-                        col_in,
-                        pivot_in,
-                        col_out,
-                        pivot_out,
-                        head_out: None,
-                        duration: 1,
-                        useful_ops: gg.useful_ops(id) as u64,
-                        label: TaskLabel {
-                            k: k as u32,
-                            h: h as u32,
+            for k in 0..rows {
+                for h in gg.row(k).h_lo..=gg.row(k).h_hi() {
+                    wire.node(
+                        &mut plan,
+                        k,
+                        inst,
+                        k,
+                        h,
+                        Ends {
+                            col_in: |p: &mut PlanBuilder| match k {
+                                0 => p.host_src(0, stream_key(inst, 0, h)),
+                                _ => p.bank_src(col_bank(k - 1), stream_key(inst, k - 1, h)),
+                            },
+                            pivot_in: |p: &mut PlanBuilder| {
+                                p.bank_src(loop_bank(k), stream_key(inst, k, h - 1))
+                            },
+                            col_out: |p: &mut PlanBuilder| {
+                                p.bank_dst(col_bank(k), stream_key(inst, k, h))
+                            },
+                            pivot_out: |p: &mut PlanBuilder| {
+                                p.bank_dst(loop_bank(k), stream_key(inst, k, h))
+                            },
                         },
-                    },
-                );
+                    );
+                }
             }
         }
 
-        // The m = 1 (per-column) case of the shared budget formula.
-        let ideal = ideal_cycles_per_instance(n, 1);
+        // The single-cell-per-row case of the shared budget formula.
+        let ideal = wire.ideal_cycles(1);
         plan.set_max_cycles(batch_len as u64 * ideal * 20 + 100_000);
         plan.finish()
     }

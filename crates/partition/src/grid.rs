@@ -13,14 +13,16 @@
 //! Blocks are scheduled by vertical paths: `h`-block-major, `k`-blocks
 //! top-to-bottom inside (the 2-D analogue of Fig. 20b).
 //!
-//! The geometry lives in [`GridMapping`]; execution is the shared
-//! [`MappedEngine`].
+//! The geometry lives in [`GridMapping`], whose one builder compiles any
+//! G-graph (closure, and the LU and Faddeev trapezoids of
+//! [`crate::algo`]); execution is the shared [`MappedEngine`].
 
-use crate::engine::{ideal_cycles_per_instance, stream_key, EngineError};
+use crate::engine::{stream_key, EngineError};
 use crate::mapping::{MappedEngine, Mapping};
 use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
-use systolic_transform::{GGraph, GNodeRole};
+use crate::wiring::{Ends, Wiring};
+use systolic_arraysim::{StreamDst, StreamSrc};
+use systolic_transform::GenericGGraph;
 
 /// The cut-and-pile mapping onto a `√m × √m` grid.
 #[derive(Clone, Debug)]
@@ -52,24 +54,26 @@ impl Mapping for GridMapping {
         self.s * self.s
     }
 
-    fn validate(&self) -> Result<(), crate::engine::EngineError> {
+    fn validate(&self) -> Result<(), EngineError> {
         if self.s == 0 {
-            return Err(crate::engine::EngineError::BadInput(
+            return Err(EngineError::BadInput(
                 "grid needs at least a 1×1 array (side ≥ 1)".into(),
             ));
         }
         Ok(())
     }
 
-    /// Compiles the grid schedule for one `(n, batch_len)` shape.
-    fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
+    /// Compiles the grid schedule: G-node `(k, h)` runs on cell
+    /// `(k mod s, h mod s)`; `h`-blocks advance left to right, `k`-blocks
+    /// top to bottom inside. One G-set spans `s` rows, so it mixes their
+    /// computation times.
+    fn graph_plan(&self, gg: &GenericGGraph, batch_len: usize) -> CompiledPlan {
         let s = self.s;
-        let gg = GGraph::new(n);
-        let bcols = (2 * n).div_ceil(s);
-        let brows = n.div_ceil(s);
+        let bcols = (gg.h_max() + 1).div_ceil(s);
+        let brows = gg.rows().div_ceil(s);
         let cell_id = |ri: usize, ci: usize| ri * s + ci;
 
-        let mut plan = PlanBuilder::new(n, batch_len, s * s);
+        let mut plan = PlanBuilder::new(gg.row(0).len, batch_len, s * s);
         // Horizontal pivot links (ri,ci) → (ri,ci+1); vertical column links
         // (ri,ci) → (ri+1,ci).
         let mut hl = vec![usize::MAX; s * s];
@@ -92,17 +96,12 @@ impl Mapping for GridMapping {
         let col_bank = |ci: usize| ci;
         let piv_bank = |ri: usize| s + ri;
         plan.set_memory_connections(2 * s);
-        let out0 = plan.add_outputs(batch_len * n);
+        let wire = Wiring::new(gg, &mut plan);
 
         // Host demands in schedule order (instance, h-block, cell column).
         for inst in 0..batch_len {
-            for bc in 0..bcols {
-                for ci in 0..s {
-                    let h = bc * s + ci;
-                    if h < n {
-                        plan.feed_host(cell_id(0, ci), stream_key(inst, 0, h), inst, h);
-                    }
-                }
+            for h in 0..wire.inputs() {
+                plan.feed_host(cell_id(0, h % s), stream_key(inst, 0, h), inst, h);
             }
         }
 
@@ -111,59 +110,41 @@ impl Mapping for GridMapping {
                 for br in 0..brows {
                     for ri in 0..s {
                         for ci in 0..s {
-                            let k = br * s + ri;
-                            let h = bc * s + ci;
-                            if k >= n {
-                                continue;
-                            }
-                            let Some(id) = gg.at_h(k, h) else { continue };
-                            let role = gg.role(id);
-                            let kind = match role {
-                                GNodeRole::PivotHead => TaskKind::PivotHead,
-                                GNodeRole::Fuse => TaskKind::Fuse,
-                                GNodeRole::DelayTail => TaskKind::DelayTail,
-                            };
-                            let col_in = match role {
-                                GNodeRole::DelayTail => None,
-                                _ if k == 0 => {
-                                    Some(plan.host_src(cell_id(ri, ci), stream_key(inst, 0, h)))
-                                }
-                                _ if ri > 0 => Some(StreamSrc::Link(vl[cell_id(ri - 1, ci)])),
-                                _ => Some(plan.bank_src(col_bank(ci), stream_key(inst, k - 1, h))),
-                            };
-                            let pivot_in = match role {
-                                GNodeRole::PivotHead => None,
-                                _ if ci > 0 => Some(StreamSrc::Link(hl[cell_id(ri, ci - 1)])),
-                                _ => Some(plan.bank_src(piv_bank(ri), stream_key(inst, k, h - 1))),
-                            };
-                            let col_out = match role {
-                                GNodeRole::PivotHead => None,
-                                _ if k == n - 1 => Some(StreamDst::Output {
-                                    stream: out0 + inst * n + (h - n),
-                                }),
-                                _ if ri + 1 < s => Some(StreamDst::Link(vl[cell_id(ri, ci)])),
-                                _ => Some(plan.bank_dst(col_bank(ci), stream_key(inst, k, h))),
-                            };
-                            let pivot_out = match role {
-                                GNodeRole::DelayTail => None,
-                                _ if ci + 1 < s => Some(StreamDst::Link(hl[cell_id(ri, ci)])),
-                                _ => Some(plan.bank_dst(piv_bank(ri), stream_key(inst, k, h))),
-                            };
-                            plan.push_task(
-                                cell_id(ri, ci),
-                                Task {
-                                    kind,
-                                    len: n,
-                                    col_in,
-                                    pivot_in,
-                                    col_out,
-                                    pivot_out,
-                                    head_out: None,
-                                    duration: 1,
-                                    useful_ops: gg.useful_ops(id) as u64,
-                                    label: TaskLabel {
-                                        k: k as u32,
-                                        h: h as u32,
+                            let (k, h) = (br * s + ri, bc * s + ci);
+                            let cell = cell_id(ri, ci);
+                            wire.node(
+                                &mut plan,
+                                cell,
+                                inst,
+                                k,
+                                h,
+                                Ends {
+                                    col_in: |p: &mut PlanBuilder| {
+                                        if k == 0 {
+                                            p.host_src(cell, stream_key(inst, 0, h))
+                                        } else if ri > 0 {
+                                            StreamSrc::Link(vl[cell_id(ri - 1, ci)])
+                                        } else {
+                                            p.bank_src(col_bank(ci), stream_key(inst, k - 1, h))
+                                        }
+                                    },
+                                    pivot_in: |p: &mut PlanBuilder| match ci {
+                                        0 => p.bank_src(piv_bank(ri), stream_key(inst, k, h - 1)),
+                                        _ => StreamSrc::Link(hl[cell_id(ri, ci - 1)]),
+                                    },
+                                    col_out: |p: &mut PlanBuilder| {
+                                        if ri + 1 < s {
+                                            StreamDst::Link(vl[cell])
+                                        } else {
+                                            p.bank_dst(col_bank(ci), stream_key(inst, k, h))
+                                        }
+                                    },
+                                    pivot_out: |p: &mut PlanBuilder| {
+                                        if ci + 1 < s {
+                                            StreamDst::Link(hl[cell])
+                                        } else {
+                                            p.bank_dst(piv_bank(ri), stream_key(inst, k, h))
+                                        }
                                     },
                                 },
                             );
@@ -173,8 +154,7 @@ impl Mapping for GridMapping {
             }
         }
 
-        let m = s * s;
-        let ideal = ideal_cycles_per_instance(n, m) + 1;
+        let ideal = wire.ideal_cycles(s * s) + 1;
         plan.set_max_cycles(batch_len as u64 * ideal * 40 + 200_000);
         plan.finish()
     }

@@ -70,10 +70,11 @@ pub mod recover;
 pub mod schedule;
 pub mod tiled;
 pub mod verify;
+mod wiring;
 
 pub use admission::{AdmissionBatcher, AdmissionStats, FlushReport, Ticket};
 pub use algo::{
-    elimination_input, elimination_plan, elimination_plan_timed, level_durations, run_elimination,
+    elimination_input, elimination_plan_timed, level_durations, run_elimination,
     run_elimination_timed, Algo, EliminationMapping,
 };
 pub use engine::{ClosureEngine, EngineError};

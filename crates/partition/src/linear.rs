@@ -16,8 +16,10 @@
 //! * row 0 reads its columns from the host R-chain (Fig. 21) and row `n-1`
 //!   writes the result columns to the output collectors.
 //!
-//! The schedule is pure geometry, so it lives in [`LpgsMapping`] and the
-//! shared [`MappedEngine`] executor does everything else: the plan is
+//! The schedule is pure geometry, so it lives in [`LpgsMapping`], whose one
+//! builder compiles any G-graph — the LU and Faddeev trapezoids of
+//! [`crate::algo`] included — and the shared [`MappedEngine`] executor
+//! does everything else: the closure plan is
 //! compiled once per `(n, batch_len)` into a [`CompiledPlan`] and
 //! memoized; repeat calls reset and reload a cached simulator instead of
 //! rebuilding anything. It also never inspects *values*, so the engine is
@@ -26,12 +28,13 @@
 //! plan cache (a packed group and a scalar single run use the same
 //! `(n, 1)` plan).
 
-use crate::engine::{ideal_cycles_per_instance, stream_key};
+use crate::engine::{stream_key, EngineError};
 use crate::mapping::{MappedEngine, Mapping};
 use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{FaultEvent, StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
+use crate::wiring::{Ends, Wiring};
+use systolic_arraysim::{FaultEvent, StreamDst, StreamSrc};
 use systolic_semiring::PathSemiring;
-use systolic_transform::{GGraph, GNodeRole};
+use systolic_transform::GenericGGraph;
 
 /// The cut-and-pile (LPGS) mapping onto a linear chain of `m` cells.
 #[derive(Clone, Debug)]
@@ -56,11 +59,11 @@ impl LpgsMapping {
     }
 
     /// Creates the mapping with explicit pivot-link latencies
-    /// (`delays.len() == m - 1`); used by the fault-bypass reconfiguration.
+    /// (`delays.len() == m - 1`, every delay ≥ 1); used by the fault-bypass
+    /// reconfiguration. Bad parameters are representable but rejected with
+    /// [`crate::EngineError::BadInput`] at run time (see
+    /// [`Mapping::validate`]).
     pub fn with_link_delays(m: usize, delays: Vec<u64>) -> Self {
-        assert!(m >= 1, "need at least one cell");
-        assert_eq!(delays.len(), m.saturating_sub(1));
-        assert!(delays.iter().all(|&d| d >= 1));
         Self {
             m,
             link_delays: delays,
@@ -68,7 +71,7 @@ impl LpgsMapping {
     }
 
     /// Number of G-set blocks for problem size `n`: `⌈2n / m⌉` (the skewed
-    /// G-graph spans `h ∈ 0..2n`).
+    /// closure G-graph spans `h ∈ 0..2n`).
     pub fn blocks(&self, n: usize) -> usize {
         (2 * n).div_ceil(self.m)
     }
@@ -83,24 +86,38 @@ impl Mapping for LpgsMapping {
         self.m
     }
 
-    fn validate(&self) -> Result<(), crate::engine::EngineError> {
+    fn validate(&self) -> Result<(), EngineError> {
         if self.m == 0 {
-            return Err(crate::engine::EngineError::BadInput(
+            return Err(EngineError::BadInput(
                 "linear array needs at least one cell (m ≥ 1)".into(),
             ));
+        }
+        if self.link_delays.len() != self.m - 1 {
+            return Err(EngineError::BadInput(format!(
+                "linear array of {} cells needs {} link delays, got {}",
+                self.m,
+                self.m - 1,
+                self.link_delays.len()
+            )));
+        }
+        if self.link_delays.contains(&0) {
+            return Err(EngineError::BadInput(format!(
+                "link delays must be ≥ 1, got {:?}",
+                self.link_delays
+            )));
         }
         Ok(())
     }
 
-    /// Compiles the schedule for one `(n, batch_len)` shape: the full task
-    /// program of every cell, the host demand order and the stream wiring,
-    /// with all stream keys interned to dense slots.
-    fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
+    /// Compiles the schedule: cell `c` runs every G-node with
+    /// `h ≡ c (mod m)`; blocks of `m` consecutive `h` positions advance
+    /// left to right, rows top to bottom inside a block. One G-set is a
+    /// slice of one row, so its members share a computation time.
+    fn graph_plan(&self, gg: &GenericGGraph, batch_len: usize) -> CompiledPlan {
         let m = self.m;
-        let gg = GGraph::new(n);
-        let blocks = self.blocks(n);
+        let blocks = (gg.h_max() + 1).div_ceil(m);
 
-        let mut plan = PlanBuilder::new(n, batch_len, m);
+        let mut plan = PlanBuilder::new(gg.row(0).len, batch_len, m);
         // Pivot links cell c → c+1 (delayed where faulty cells are bypassed).
         let links: Vec<usize> = self
             .link_delays
@@ -113,72 +130,45 @@ impl Mapping for LpgsMapping {
         }
         let pivot_bank = m;
         plan.set_memory_connections(m + 1);
-        let out0 = plan.add_outputs(batch_len * n);
+        let wire = Wiring::new(gg, &mut plan);
 
         // Host demand order mirrors the schedule: instance, block, cell.
         for inst in 0..batch_len {
-            for b in 0..blocks {
-                for c in 0..m {
-                    let h = b * m + c;
-                    if h < n && gg.at_h(0, h).is_some() {
-                        // Row 0 consumes column h in natural row order.
-                        plan.feed_host(c, stream_key(inst, 0, h), inst, h);
-                    }
-                }
+            for h in 0..wire.inputs() {
+                // Row 0 consumes column h in natural row order.
+                plan.feed_host(h % m, stream_key(inst, 0, h), inst, h);
             }
         }
 
-        // Task programs.
         for inst in 0..batch_len {
             for b in 0..blocks {
-                for k in 0..n {
+                for k in 0..gg.rows() {
                     for c in 0..m {
                         let h = b * m + c;
-                        let Some(id) = gg.at_h(k, h) else { continue };
-                        let role = gg.role(id);
-                        let kind = match role {
-                            GNodeRole::PivotHead => TaskKind::PivotHead,
-                            GNodeRole::Fuse => TaskKind::Fuse,
-                            GNodeRole::DelayTail => TaskKind::DelayTail,
-                        };
-                        let col_in = match role {
-                            GNodeRole::DelayTail => None,
-                            _ if k == 0 => Some(plan.host_src(c, stream_key(inst, 0, h))),
-                            _ => Some(plan.bank_src(c, stream_key(inst, k - 1, h))),
-                        };
-                        let pivot_in = match role {
-                            GNodeRole::PivotHead => None,
-                            _ if c > 0 => Some(StreamSrc::Link(links[c - 1])),
-                            _ => Some(plan.bank_src(pivot_bank, stream_key(inst, k, h - 1))),
-                        };
-                        let col_out = match role {
-                            GNodeRole::PivotHead => None,
-                            _ if k == n - 1 => Some(StreamDst::Output {
-                                stream: out0 + inst * n + (h - n),
-                            }),
-                            _ => Some(plan.bank_dst(c, stream_key(inst, k, h))),
-                        };
-                        let pivot_out = match role {
-                            GNodeRole::DelayTail => None,
-                            _ if c < m - 1 => Some(StreamDst::Link(links[c])),
-                            _ => Some(plan.bank_dst(pivot_bank, stream_key(inst, k, h))),
-                        };
-                        let useful_ops = gg.useful_ops(id) as u64;
-                        plan.push_task(
+                        wire.node(
+                            &mut plan,
                             c,
-                            Task {
-                                kind,
-                                len: n,
-                                col_in,
-                                pivot_in,
-                                col_out,
-                                pivot_out,
-                                head_out: None,
-                                duration: 1,
-                                useful_ops,
-                                label: TaskLabel {
-                                    k: k as u32,
-                                    h: h as u32,
+                            inst,
+                            k,
+                            h,
+                            Ends {
+                                col_in: |p: &mut PlanBuilder| match k {
+                                    0 => p.host_src(c, stream_key(inst, 0, h)),
+                                    _ => p.bank_src(c, stream_key(inst, k - 1, h)),
+                                },
+                                pivot_in: |p: &mut PlanBuilder| match c {
+                                    0 => p.bank_src(pivot_bank, stream_key(inst, k, h - 1)),
+                                    _ => StreamSrc::Link(links[c - 1]),
+                                },
+                                col_out: |p: &mut PlanBuilder| {
+                                    p.bank_dst(c, stream_key(inst, k, h))
+                                },
+                                pivot_out: |p: &mut PlanBuilder| {
+                                    if c < m - 1 {
+                                        StreamDst::Link(links[c])
+                                    } else {
+                                        p.bank_dst(pivot_bank, stream_key(inst, k, h))
+                                    }
                                 },
                             },
                         );
@@ -187,8 +177,8 @@ impl Mapping for LpgsMapping {
             }
         }
 
-        // Generous budget: ideal cycles are ~ n²(n+1)/m per instance.
-        let ideal = ideal_cycles_per_instance(n, m) + 1;
+        // Generous budget over the ideal (work / m) cycles per instance.
+        let ideal = wire.ideal_cycles(m) + 1;
         plan.set_max_cycles(batch_len as u64 * ideal * 20 + 100_000);
         plan.finish()
     }

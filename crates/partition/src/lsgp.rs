@@ -26,11 +26,12 @@
 //! mapping (experiment E25 ties the measured storage and makespan back to
 //! the analytic `CoalescingModel` of E16).
 
-use crate::engine::{ideal_cycles_per_instance, stream_key};
+use crate::engine::{stream_key, EngineError};
 use crate::mapping::{MappedEngine, Mapping};
 use crate::plan::{CompiledPlan, PlanBuilder};
-use systolic_arraysim::{StreamDst, StreamSrc, Task, TaskKind, TaskLabel};
-use systolic_transform::{GGraph, GNodeRole};
+use crate::wiring::{Ends, Wiring};
+use systolic_arraysim::{StreamDst, StreamSrc};
+use systolic_transform::GenericGGraph;
 
 /// The coalescing (LSGP) mapping onto a ring of `m` cells.
 #[derive(Clone, Debug)]
@@ -62,9 +63,9 @@ impl Mapping for LsgpMapping {
         self.m
     }
 
-    fn validate(&self) -> Result<(), crate::engine::EngineError> {
+    fn validate(&self) -> Result<(), EngineError> {
         if self.m == 0 {
-            return Err(crate::engine::EngineError::BadInput(
+            return Err(EngineError::BadInput(
                 "coalescing ring needs at least one cell (m ≥ 1)".into(),
             ));
         }
@@ -74,12 +75,12 @@ impl Mapping for LsgpMapping {
     /// Compiles the coalesced schedule: cell `c` runs its owned columns in
     /// row-major `(k, h)` order, column streams through its private bank,
     /// pivot streams over the `c → c+1` links with the `m-1 → 0` wrap
-    /// through the boundary bank.
-    fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
+    /// through the boundary bank. Built for closure graphs (any row
+    /// durations); other graph families are not supported.
+    fn graph_plan(&self, gg: &GenericGGraph, batch_len: usize) -> CompiledPlan {
         let m = self.m;
-        let gg = GGraph::new(n);
 
-        let mut plan = PlanBuilder::new(n, batch_len, m);
+        let mut plan = PlanBuilder::new(gg.row(0).len, batch_len, m);
         // Pivot links cell c → c+1; the ring closes through the wrap bank,
         // never a backward link, so link backpressure cannot cycle.
         let links: Vec<usize> = (0..m.saturating_sub(1)).map(|_| plan.add_link()).collect();
@@ -89,12 +90,12 @@ impl Mapping for LsgpMapping {
         }
         let wrap_bank = m;
         plan.set_memory_connections(m + 1);
-        let out0 = plan.add_outputs(batch_len * n);
+        let wire = Wiring::new(gg, &mut plan);
 
         // Host demand order mirrors row 0 of the schedule: instance, then
         // column; each word goes to the owning cell.
         for inst in 0..batch_len {
-            for h in 0..n {
+            for h in 0..wire.inputs() {
                 plan.feed_host(h % m, stream_key(inst, 0, h), inst, h);
             }
         }
@@ -103,58 +104,38 @@ impl Mapping for LsgpMapping {
         // per-cell order and the per-link word order are both lexicographic
         // in (instance, k, h) — FIFO links need no reordering.
         for inst in 0..batch_len {
-            for k in 0..n {
-                for h in k..=(k + n) {
+            for k in 0..gg.rows() {
+                for h in gg.row(k).h_lo..=gg.row(k).h_hi() {
                     let c = h % m;
-                    let Some(id) = gg.at_h(k, h) else { continue };
-                    let role = gg.role(id);
-                    let kind = match role {
-                        GNodeRole::PivotHead => TaskKind::PivotHead,
-                        GNodeRole::Fuse => TaskKind::Fuse,
-                        GNodeRole::DelayTail => TaskKind::DelayTail,
-                    };
-                    // Column (k-1, h) was produced by this same cell one
-                    // row earlier: read it back from the private bank.
-                    let col_in = match role {
-                        GNodeRole::DelayTail => None,
-                        _ if k == 0 => Some(plan.host_src(c, stream_key(inst, 0, h))),
-                        _ => Some(plan.bank_src(c, stream_key(inst, k - 1, h))),
-                    };
-                    // Pivot (k, h-1) comes from the left ring neighbor;
-                    // cell 0 reads the wrap of cell m-1 (with m = 1 both
-                    // ends collapse onto the wrap bank).
-                    let pivot_in = match role {
-                        GNodeRole::PivotHead => None,
-                        _ if c > 0 => Some(StreamSrc::Link(links[c - 1])),
-                        _ => Some(plan.bank_src(wrap_bank, stream_key(inst, k, h - 1))),
-                    };
-                    let col_out = match role {
-                        GNodeRole::PivotHead => None,
-                        _ if k == n - 1 => Some(StreamDst::Output {
-                            stream: out0 + inst * n + (h - n),
-                        }),
-                        _ => Some(plan.bank_dst(c, stream_key(inst, k, h))),
-                    };
-                    let pivot_out = match role {
-                        GNodeRole::DelayTail => None,
-                        _ if c < m - 1 => Some(StreamDst::Link(links[c])),
-                        _ => Some(plan.bank_dst(wrap_bank, stream_key(inst, k, h))),
-                    };
-                    plan.push_task(
+                    wire.node(
+                        &mut plan,
                         c,
-                        Task {
-                            kind,
-                            len: n,
-                            col_in,
-                            pivot_in,
-                            col_out,
-                            pivot_out,
-                            head_out: None,
-                            duration: 1,
-                            useful_ops: gg.useful_ops(id) as u64,
-                            label: TaskLabel {
-                                k: k as u32,
-                                h: h as u32,
+                        inst,
+                        k,
+                        h,
+                        Ends {
+                            // Column (k-1, h) was produced by this same cell
+                            // one row earlier: read it back from the private
+                            // bank.
+                            col_in: |p: &mut PlanBuilder| match k {
+                                0 => p.host_src(c, stream_key(inst, 0, h)),
+                                _ => p.bank_src(c, stream_key(inst, k - 1, h)),
+                            },
+                            // Pivot (k, h-1) comes from the left ring
+                            // neighbor; cell 0 reads the wrap of cell m-1
+                            // (with m = 1 both ends collapse onto the wrap
+                            // bank).
+                            pivot_in: |p: &mut PlanBuilder| match c {
+                                0 => p.bank_src(wrap_bank, stream_key(inst, k, h - 1)),
+                                _ => StreamSrc::Link(links[c - 1]),
+                            },
+                            col_out: |p: &mut PlanBuilder| p.bank_dst(c, stream_key(inst, k, h)),
+                            pivot_out: |p: &mut PlanBuilder| {
+                                if c < m - 1 {
+                                    StreamDst::Link(links[c])
+                                } else {
+                                    p.bank_dst(wrap_bank, stream_key(inst, k, h))
+                                }
                             },
                         },
                     );
@@ -163,8 +144,8 @@ impl Mapping for LsgpMapping {
         }
 
         // Balanced components make coalescing's makespan match cut-and-pile's
-        // ideal n²(n+1)/m, so the same budget formula applies.
-        let ideal = ideal_cycles_per_instance(n, m) + 1;
+        // ideal work / m, so the same budget formula applies.
+        let ideal = wire.ideal_cycles(m) + 1;
         plan.set_max_cycles(batch_len as u64 * ideal * 20 + 100_000);
         plan.finish()
     }

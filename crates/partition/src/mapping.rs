@@ -11,14 +11,18 @@
 //! is identical machinery.
 //!
 //! [`Mapping`] captures exactly the per-mapping decisions: a name, the
-//! cell count, and the [`CompiledPlan`] builder for a problem shape.
-//! [`MappedEngine`] owns the shared machinery exactly once. The concrete
-//! engines ([`crate::LinearEngine`], [`crate::FixedArrayEngine`],
-//! [`crate::FixedLinearEngine`], [`crate::GridEngine`],
-//! [`crate::LsgpEngine`]) are type aliases `MappedEngine<SomeMapping>`
-//! plus inherent constructors — their run-time behavior is byte-identical
-//! to the pre-refactor engines because the executor below *is* the old
-//! `LinearEngine` run path, verbatim.
+//! cell count, and one plan builder per array geometry,
+//! [`Mapping::graph_plan`], which compiles any [`GenericGGraph`]. The
+//! builder never sees what a G-node computes: one crate-private helper
+//! turns each G-node into a cell task (task kind, which streams exist,
+//! result sinks, stream length, duration), so closure, LU and Faddeev all
+//! compile through the same mappings, and varying G-node durations (§4.3)
+//! enter only through the graph. [`Mapping::build_plan`] is the closure
+//! shorthand. [`MappedEngine`] owns the shared run machinery exactly once.
+//! The concrete engines ([`crate::LinearEngine`],
+//! [`crate::FixedArrayEngine`], [`crate::FixedLinearEngine`],
+//! [`crate::GridEngine`], [`crate::LsgpEngine`]) are type aliases
+//! `MappedEngine<SomeMapping>` plus inherent constructors.
 
 use crate::engine::{prepare_batch, ClosureEngine, EngineError};
 use crate::plan::{CompiledPlan, PlanCache, SimSlot};
@@ -26,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use systolic_arraysim::{ArraySim, FaultEvent, FaultPlan, RunStats};
 use systolic_semiring::{DenseMatrix, PathSemiring};
+use systolic_transform::GenericGGraph;
 
 /// How G-sets land on cells: the per-mapping third of an engine.
 ///
@@ -54,9 +59,17 @@ pub trait Mapping: Clone + std::fmt::Debug + Send + Sync + 'static {
         Ok(())
     }
 
-    /// Compiles the full schedule for one `(n, batch_len)` shape: cell
-    /// programs, stream wiring, host demand order, cycle budget.
-    fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan;
+    /// Compiles the full schedule of `batch_len` instances of the G-graph
+    /// `gg` on this array: cell programs, stream wiring, host demand order,
+    /// cycle budget. Only the graph's geometry and per-row durations shape
+    /// the plan; what its G-nodes compute is the graph's own business.
+    fn graph_plan(&self, gg: &GenericGGraph, batch_len: usize) -> CompiledPlan;
+
+    /// Compiles the closure schedule for one `(n, batch_len)` shape: the
+    /// plan of [`GenericGGraph::closure`].
+    fn build_plan(&self, n: usize, batch_len: usize) -> CompiledPlan {
+        self.graph_plan(&GenericGGraph::closure(n), batch_len)
+    }
 
     /// Smallest batch slice processed at full efficiency (see
     /// [`ClosureEngine::preferred_chunk`]).

@@ -106,35 +106,6 @@ impl CompiledPlan {
         sim
     }
 
-    /// Returns a copy of this plan whose task durations are overridden per
-    /// G-graph row: the task labelled `k` gets duration `durs[k]` — the
-    /// §4.3 varying-computation-time knob, applicable to any mapping's
-    /// plan. With all durations `1` the copy is identical to the original
-    /// (the classical single-cycle G-node).
-    ///
-    /// # Panics
-    /// When a task's row label is not covered by `durs` or a duration is 0.
-    #[must_use]
-    pub fn with_row_durations(&self, durs: &[u32]) -> CompiledPlan {
-        assert!(durs.iter().all(|&d| d >= 1), "durations must be ≥ 1");
-        let mut plan = self.clone();
-        plan.programs = self
-            .programs
-            .iter()
-            .map(|prog| {
-                prog.iter()
-                    .map(|t| {
-                        let mut t = t.clone();
-                        t.duration = durs[t.label.k as usize];
-                        t
-                    })
-                    .collect::<Vec<_>>()
-                    .into()
-            })
-            .collect();
-        plan
-    }
-
     /// Feeds a batch's matrices into a (fresh or reset) simulator, in the
     /// order the plan recorded — for host streams that is the schedule's
     /// demand order.
@@ -220,6 +191,10 @@ impl PlanBuilder {
             feeds: Vec::new(),
             programs: (0..cells).map(|_| Vec::new()).collect(),
         }
+    }
+
+    pub(crate) fn batch_len(&self) -> usize {
+        self.batch_len
     }
 
     pub(crate) fn add_link(&mut self) -> usize {

@@ -25,6 +25,19 @@
 use crate::ggraph::GGraph;
 use crate::grouping::TimeGrid;
 
+/// What a graph's G-nodes compute: the one algorithm-specific fact a plan
+/// builder needs (it picks the cells' task kinds, and whether fuses emit a
+/// finished pivot-row element). Everything else is geometry. Set by the
+/// constructors, never by callers.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub enum GFamily {
+    /// Semiring closure (Fig. 17): pivot heads, fuses, delay tails.
+    Closure,
+    /// Gaussian-elimination levels (LU, Faddeev): divider heads and
+    /// update fuses that also emit their finished pivot-row element.
+    Elimination,
+}
+
 /// Role of a G-node within a generic G-graph row.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum GenRole {
@@ -78,16 +91,17 @@ impl GRowSpec {
 /// `k`) and pivot streams flow right along a row.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GenericGGraph {
+    family: GFamily,
     rows: Vec<GRowSpec>,
 }
 
 impl GenericGGraph {
-    /// Builds a generic G-graph from explicit row specs.
+    /// Builds a generic G-graph of `family` from explicit row specs.
     ///
     /// # Panics
     /// When a row is degenerate: zero width, zero stream length, zero
     /// duration, or a tail with no head before it.
-    pub fn new(rows: Vec<GRowSpec>) -> Self {
+    fn new(family: GFamily, rows: Vec<GRowSpec>) -> Self {
         assert!(!rows.is_empty(), "generic G-graph needs at least one row");
         for (k, r) in rows.iter().enumerate() {
             assert!(r.width >= 1, "row {k}: width must be ≥ 1");
@@ -98,7 +112,7 @@ impl GenericGGraph {
                 "row {k}: a tail needs a head before it"
             );
         }
-        Self { rows }
+        Self { family, rows }
     }
 
     /// The Fig. 17 transitive-closure G-graph: `n` rows, each `n + 1` wide
@@ -107,6 +121,7 @@ impl GenericGGraph {
     pub fn closure(n: usize) -> Self {
         assert!(n >= 2, "closure G-graph needs n ≥ 2");
         Self::new(
+            GFamily::Closure,
             (0..n)
                 .map(|k| GRowSpec {
                     h_lo: k,
@@ -143,6 +158,7 @@ impl GenericGGraph {
     pub fn elimination(msize: usize, levels: usize) -> Self {
         assert!(levels >= 1 && levels < msize, "need 1 ≤ levels < msize");
         Self::new(
+            GFamily::Elimination,
             (0..levels)
                 .map(|k| GRowSpec {
                     h_lo: k,
@@ -160,7 +176,9 @@ impl GenericGGraph {
     /// one computed by [`grouping_profile`](crate::grouping_profile)): row
     /// `r` gets `h_lo = r`, one G-node per grid entry, and stream length
     /// `t + 1` (a G-node of computation time `t` passes its stream head
-    /// through untouched, so the stream carries `t + 1` words).
+    /// through untouched, so the stream carries `t + 1` words). Tail-less
+    /// rows are elimination levels, so the graph is of the
+    /// [`GFamily::Elimination`] family.
     ///
     /// # Panics
     /// When the grid is empty or some row mixes computation times.
@@ -174,6 +192,7 @@ impl GenericGGraph {
             "generic G-graph rows must be time-uniform (equal-time paths, §4.3)"
         );
         Self::new(
+            GFamily::Elimination,
             grid.times
                 .iter()
                 .enumerate()
@@ -202,6 +221,12 @@ impl GenericGGraph {
             r.duration = d;
         }
         self
+    }
+
+    /// What this graph's G-nodes compute.
+    #[inline]
+    pub fn family(&self) -> GFamily {
+        self.family
     }
 
     /// Number of rows (algorithm levels).
@@ -335,6 +360,8 @@ mod tests {
     fn lu_geometry_shrinks_with_levels() {
         let n = 6;
         let g = GenericGGraph::lu(n);
+        assert_eq!(g.family(), GFamily::Elimination);
+        assert_eq!(GenericGGraph::closure(n).family(), GFamily::Closure);
         assert_eq!(g.rows(), n - 1);
         assert_eq!(g.h_max(), n - 1);
         for k in 0..n - 1 {

@@ -25,7 +25,7 @@ pub mod grouping;
 pub mod stages;
 pub mod validate;
 
-pub use generic::{GRowSpec, GenRole, GenericGGraph};
+pub use generic::{GFamily, GRowSpec, GenRole, GenericGGraph};
 pub use ggraph::{GGraph, GNodeRole, GnodeId};
 pub use grouping::{
     faddeev_time_grid, givens_time_grid, grouping_profile, lu_time_grid,

@@ -15,9 +15,11 @@ cargo test -q --workspace
 # failure points straight at the plane that diverged (they also run
 # as part of the workspace suite above). proptest_sparse pins the sparse
 # CSR pipeline to the dense oracle and the tiled bridge to the untiled
-# closure.
+# closure. elimination and proptest_mappings pin every mapping's one plan
+# builder: LU/Faddeev bit-exactness and closure cross-mapping equality.
 cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
-    --test proptest_sparse --test proptest_durations
+    --test proptest_sparse --test proptest_durations --test elimination \
+    --test proptest_mappings
 
 # Perf smoke (non-gating: wall-clock numbers are machine-dependent).
 ./scripts/bench_smoke.sh || echo "check.sh: bench_smoke failed (non-gating)"

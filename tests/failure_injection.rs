@@ -109,6 +109,20 @@ fn engines_reject_bad_shapes() {
 }
 
 #[test]
+fn bad_link_delays_are_rejected_not_panicked() {
+    // Wrong delay count and a zero-latency link are parameter errors,
+    // reported like every other mapping parameter.
+    let a = DenseMatrix::<Bool>::zeros(3, 3);
+    for (m, delays) in [(3, vec![1]), (2, vec![0])] {
+        let eng = LinearEngine::with_link_delays(m, delays.clone());
+        match ClosureEngine::<Bool>::closure(&eng, &a) {
+            Err(EngineError::BadInput(msg)) => assert!(msg.contains("delay"), "{msg}"),
+            other => panic!("m={m} delays={delays:?}: expected BadInput, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn engine_error_messages_are_informative() {
     let eng = LinearEngine::new(2);
     let a = DenseMatrix::<Bool>::zeros(1, 1);
