@@ -3,12 +3,13 @@
 //!
 //! Each `eNN` function runs its experiment and returns a Markdown section
 //! with paper-vs-measured rows; the `experiments` binary assembles them
-//! into `EXPERIMENTS.md`. Criterion benches under `benches/` wrap the same
-//! workloads for wall-clock measurement.
+//! into `EXPERIMENTS.md`. The `bench_record` binary ([`record`]) times the
+//! host-side workloads and gates their same-run ratios.
 
 #![forbid(unsafe_code)]
 
 pub mod campaign;
+pub mod record;
 pub mod serve;
 pub mod sparse;
 
@@ -44,8 +45,9 @@ fn adj(n: usize, seed: u64) -> DenseMatrix<Bool> {
     g.adjacency_matrix()
 }
 
-/// Deterministic Boolean batch shared by the `parallel_batch` bench and
-/// E21: `instances` random `n × n` adjacency matrices.
+/// Deterministic Boolean batch shared by the recorder's `batched_closure`
+/// and `parallel_batch` rows and E21: `instances` random `n × n`
+/// adjacency matrices.
 pub fn parallel_batch_input(instances: usize, n: usize, seed: u64) -> Vec<DenseMatrix<Bool>> {
     (0..instances)
         .map(|i| adj(n, seed.wrapping_add(i as u64)))
@@ -749,7 +751,7 @@ pub fn e21() -> String {
     }
     let _ = writeln!(
         out,
-        "\nEach instance runs the exact single-instance simulation on a pool replica; merged stats fold in instance order, so only wall time depends on the thread count (see the `parallel_batch` bench for the speedup).\n"
+        "\nEach instance runs the exact single-instance simulation on a pool replica; merged stats fold in instance order, so only wall time depends on the thread count (`scripts/bench_smoke.sh` records the speedup as the `parallel_batch/*` rows of `BENCH_partition.json`).\n"
     );
     out
 }
@@ -1044,8 +1046,7 @@ pub fn e26() -> String {
          condensation cost rather than the query. Absolute numbers are \
          machine-dependent — the perf smoke (`scripts/bench_smoke.sh`) records them \
          in `BENCH_partition.json` and gates only on protocol correctness \
-         (`ok=true`). Reproduce with `systolic serve` or `cargo run --release -p \
-         systolic-bench --bin serve_bench`.\n"
+         (`ok=true`). Reproduce with `systolic serve` or `scripts/bench_smoke.sh`.\n"
     );
     out
 }
@@ -1167,10 +1168,10 @@ pub fn e28() -> String {
     out
 }
 
-/// The §4.3 numbers behind E30 and the perf smoke's
-/// `varying_utilization/` line: LU with per-level durations `n - k` run on
-/// a 4-cell linear chain and a 2×2 grid, measured cell occupancy next to
-/// the lock-step analytic model over the same time grid.
+/// The §4.3 numbers behind E30 and the recorder's `varying_*` keys: LU
+/// with per-level durations `n - k` run on a 4-cell linear chain and a
+/// 2×2 grid, measured cell occupancy next to the lock-step analytic model
+/// over the same time grid.
 #[derive(Clone, Debug)]
 pub struct VaryingMeasurement {
     /// LU problem size.
@@ -1190,10 +1191,6 @@ pub struct VaryingMeasurement {
     pub interior_linear: f64,
     /// Analytic interior utilization, two-dimensional mapping.
     pub interior_grid: f64,
-    /// Simulated cycles, linear chain.
-    pub cycles_linear: u64,
-    /// Simulated cycles, 2×2 grid.
-    pub cycles_grid: u64,
 }
 
 /// Pinned tolerance between measured occupancy and the lock-step analytic
@@ -1236,8 +1233,6 @@ pub fn varying_measurement(n: usize) -> VaryingMeasurement {
         analytic_grid: a_grid.utilization,
         interior_linear: a_lin.interior_utilization(),
         interior_grid: a_grid.interior_utilization(),
-        cycles_linear: lin.cycles,
-        cycles_grid: grid.cycles,
     }
 }
 

@@ -1,7 +1,5 @@
-//! The sparse data plane's scaling sweep: shared by experiment E29, the
-//! `sparse_bench` binary (whose `sparse_scale/...` lines feed
-//! `scripts/bench_smoke.sh`) and the `sparse_closure` criterion-style
-//! bench.
+//! The sparse data plane's scaling sweep: shared by experiment E29 and the
+//! `bench_record` recorder's `sparse_scale/*` and `sparse_closure/*` rows.
 
 use std::fmt::Write as _;
 use systolic_closure::{powerlaw, ClosureMode, CsrGraph, SparseClosure};

@@ -1,112 +1,43 @@
-//! A small wall-clock benchmark harness for `harness = false` benches.
-//!
-//! Mirrors the slice of the criterion API the workspace used: named groups,
-//! per-input benchmark ids, warm-up then timed samples, median/mean/min
-//! reporting. Output is one stable text line per benchmark:
-//!
-//! ```text
-//! fixed_array/fig17_full/8      median 512.3µs  mean 519.0µs  min 501.2µs  (20 samples)
-//! ```
-//!
-//! `SYSTOLIC_BENCH_SAMPLES` and `SYSTOLIC_BENCH_WARMUP_MS` override the
-//! configured sample count and warm-up for every group — use them to
-//! smoke-run expensive benches on constrained machines or in CI.
+//! A small wall-clock timer for the bench recorder: warm-up, then timed
+//! samples, reduced to median/mean/min.
 
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// A named group of benchmarks sharing sample configuration.
-pub struct Bench {
-    group: String,
-    samples: usize,
-    warmup: Duration,
-    min_sample_time: Duration,
+/// Median, mean and minimum of one [`time`] run's samples.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Timing {
+    /// Median sample.
+    pub median: Duration,
+    /// Mean sample.
+    pub mean: Duration,
+    /// Fastest sample.
+    pub min: Duration,
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.1}µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.3}s", ns as f64 / 1e9)
+/// Calls `f` until `warmup` has elapsed, then times `samples` calls
+/// (at least one).
+///
+/// Each sample is one call of `f`; wrap multi-iteration loops yourself
+/// when a single call is too fast to time (sub-microsecond).
+pub fn time(samples: usize, warmup: Duration, mut f: impl FnMut()) -> Timing {
+    let start = Instant::now();
+    while start.elapsed() < warmup {
+        f();
     }
-}
-
-impl Bench {
-    /// Creates a group with default settings (20 samples, 200 ms warm-up).
-    pub fn new(group: impl Into<String>) -> Self {
-        Self {
-            group: group.into(),
-            samples: env_usize("SYSTOLIC_BENCH_SAMPLES").unwrap_or(20).max(1),
-            warmup: env_usize("SYSTOLIC_BENCH_WARMUP_MS")
-                .map(|ms| Duration::from_millis(ms as u64))
-                .unwrap_or(Duration::from_millis(200)),
-            min_sample_time: Duration::ZERO,
-        }
-    }
-
-    /// Sets the number of timed samples (the `SYSTOLIC_BENCH_SAMPLES`
-    /// environment variable wins over this).
-    pub fn samples(mut self, n: usize) -> Self {
-        self.samples = env_usize("SYSTOLIC_BENCH_SAMPLES").unwrap_or(n).max(1);
-        self
-    }
-
-    /// Sets the warm-up duration (the `SYSTOLIC_BENCH_WARMUP_MS`
-    /// environment variable wins over this).
-    pub fn warmup(mut self, d: Duration) -> Self {
-        self.warmup = env_usize("SYSTOLIC_BENCH_WARMUP_MS")
-            .map(|ms| Duration::from_millis(ms as u64))
-            .unwrap_or(d);
-        self
-    }
-
-    /// Times `f`, printing one report line; returns the median sample.
-    ///
-    /// Each sample is one call of `f`; wrap multi-iteration loops yourself
-    /// when a single call is too fast to time (sub-microsecond).
-    pub fn bench(&self, id: impl AsRef<str>, mut f: impl FnMut()) -> Duration {
-        // Warm-up: run until the warm-up budget is spent.
-        let start = Instant::now();
-        while start.elapsed() < self.warmup {
+    let mut times: Vec<Duration> = (0..samples.max(1))
+        .map(|_| {
+            let t = Instant::now();
             f();
-        }
-        let mut times: Vec<Duration> = (0..self.samples)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                let mut el = t.elapsed();
-                while el < self.min_sample_time {
-                    // Too fast to trust a single call: accumulate.
-                    let t2 = Instant::now();
-                    f();
-                    el += t2.elapsed();
-                }
-                el
-            })
-            .collect();
-        times.sort_unstable();
-        let median = times[times.len() / 2];
-        let mean = times.iter().sum::<Duration>() / times.len() as u32;
-        let min = times[0];
-        println!(
-            "{:<44} median {:>9}  mean {:>9}  min {:>9}  ({} samples)",
-            format!("{}/{}", self.group, id.as_ref()),
-            fmt_duration(median),
-            fmt_duration(mean),
-            fmt_duration(min),
-            times.len()
-        );
-        median
+            t.elapsed()
+        })
+        .collect();
+    times.sort_unstable();
+    Timing {
+        median: times[times.len() / 2],
+        mean: times.iter().sum::<Duration>() / times.len() as u32,
+        min: times[0],
     }
 }
 
@@ -116,10 +47,10 @@ mod tests {
 
     #[test]
     fn bench_reports_positive_median() {
-        let b = Bench::new("test").samples(3).warmup(Duration::ZERO);
-        let m = b.bench("spin", || {
+        let t = time(3, Duration::ZERO, || {
             black_box((0..1000u64).sum::<u64>());
         });
-        assert!(m > Duration::ZERO);
+        assert!(t.median > Duration::ZERO);
+        assert!(t.min <= t.median);
     }
 }

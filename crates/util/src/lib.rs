@@ -11,9 +11,8 @@
 //!   scoped-thread usage);
 //! * [`check`] — a tiny property-test harness running seeded random cases
 //!   with failure reproduction instructions (replaces `proptest`);
-//! * [`mod@bench`] — a wall-clock micro-benchmark harness with warm-up,
-//!   median/mean reporting and a stable text output format (replaces
-//!   `criterion` for the `harness = false` benches).
+//! * [`mod@bench`] — a wall-clock timer with warm-up and median/mean/min
+//!   reduction for the bench recorder (replaces `criterion`).
 //!
 //! Everything here is `std`-only and deliberately small; it exists to keep
 //! the workspace building offline, not to compete with the real crates.
@@ -27,7 +26,7 @@ pub mod mem;
 pub mod pool;
 pub mod rng;
 
-pub use bench::{black_box, Bench};
+pub use bench::{black_box, time, Timing};
 pub use check::Checker;
 pub use mem::peak_rss_bytes;
 pub use pool::{JobPanic, WaitGroup, WorkerPool};

@@ -21,6 +21,10 @@ cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
     --test proptest_sparse --test proptest_durations --test elimination \
     --test proptest_mappings
 
+# The repo benchmark (perfbench/, its own workspace) links systolic-bench
+# and systolic-util by path; build it so an API change there fails here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Perf smoke (non-gating: wall-clock numbers are machine-dependent).
 ./scripts/bench_smoke.sh || echo "check.sh: bench_smoke failed (non-gating)"
 
