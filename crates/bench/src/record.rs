@@ -19,10 +19,11 @@ use std::path::Path;
 use std::time::Duration;
 use systolic_closure::{condense_csr, SparseClosure};
 use systolic_partition::{
-    tiled_dag_closure, ClosureEngine, LinearEngine, LsgpEngine, PackedEngine, ParallelEngine,
+    elimination_input, elimination_plan_timed, level_durations, tiled_dag_closure, Algo,
+    ClosureEngine, EliminationMapping, LinearEngine, LsgpEngine, PackedEngine, ParallelEngine,
 };
-use systolic_semiring::{BitMatrix, BoolLanes, DenseMatrix, MinPlusSwar8, PathSemiring};
-use systolic_util::{black_box, time, Rng, Timing};
+use systolic_semiring::{BitMatrix, BoolLanes, DenseMatrix, MinPlusSwar8, PathSemiring, Real};
+use systolic_util::{black_box, time_with_setup, Rng, Timing};
 
 /// Timed samples per row.
 pub const SAMPLES: usize = 7;
@@ -250,9 +251,11 @@ fn flag(b: bool) -> Option<f64> {
 
 const LINEAR: &str = "batched_closure/linear_m4/32x32";
 const W1: &str = "batched_closure/packed_w1_m4/128x32";
+const SIM_DENSE: &str = "sim_loop/dense/lu48_linear_m4";
+const SIM_READY: &str = "sim_loop/ready/lu48_linear_m4";
 
 /// Every perf-smoke gate.
-pub const GATES: [Gate; 17] = [
+pub const GATES: [Gate; 18] = [
     // The lsgp ratio only needs to exist and be sane (LSGP trades
     // throughput for Θ(n²/m) buffering, not speed); the 64-lane packed
     // engine must beat the scalar engine 8×.
@@ -365,6 +368,15 @@ pub const GATES: [Gate; 17] = [
         measure: |r| flag(r.varying.gates_hold()),
         json: Fmt::Flag,
     },
+    // The simulator's event-driven ready loop, which jumps the quiet cycles
+    // of §4.3's multi-cycle G-nodes, against the every-cycle dense loop on
+    // the same loaded plan.
+    Gate {
+        key: "elim_ready_speedup_vs_dense",
+        bound: Bound::AtLeast(2.0),
+        measure: |r| r.speedup(SIM_DENSE, SIM_READY),
+        json: Fmt::Decimals(2),
+    },
     // Both serve streams recorded, every answer oracle-checked: the value
     // is the stream count when all are ok, else 0.
     Gate {
@@ -470,9 +482,15 @@ pub fn write(path: &Path, doc: &[(&'static str, Json)]) -> std::io::Result<()> {
 struct Rows(Vec<(String, Timing)>);
 
 impl Rows {
-    fn time(&mut self, id: &str, f: impl FnMut()) {
+    fn time(&mut self, id: &str, mut f: impl FnMut()) {
+        self.time_with_setup(id, || (), |_| f());
+    }
+
+    /// Times `f` on a fresh `setup()` per call; only `f` is timed.
+    fn time_with_setup<T>(&mut self, id: &str, setup: impl FnMut() -> T, f: impl FnMut(&mut T)) {
         eprintln!("bench_record: {id}");
-        self.0.push((id.to_string(), time(SAMPLES, WARMUP, f)));
+        let t = time_with_setup(SAMPLES, WARMUP, setup, f);
+        self.0.push((id.to_string(), t));
     }
 
     fn batch<S: PathSemiring>(
@@ -561,6 +579,28 @@ fn plan_reuse(rows: &mut Rows) {
     rows.batch("plan_reuse/cached/8x24", &engine, &batch);
 }
 
+/// `sim_loop/*`: one LU n = 48 plan on the 4-cell LPGS chain with the
+/// §4.3 durations d_k = n − k, run by the dense every-cycle loop and by the
+/// ready loop. Each sample gets a freshly instantiated and loaded
+/// simulator, built outside the clock.
+fn sim_loop(rows: &mut Rows) {
+    let n = 48;
+    let durs = level_durations(Algo::Lu, n);
+    let plan = elimination_plan_timed(Algo::Lu, n, EliminationMapping::Linear { m: 4 }, 1, &durs);
+    let input = [elimination_input(n, 0x5eed)];
+    let loaded = || {
+        let mut sim = plan.instantiate::<Real>(false);
+        plan.load(&mut sim, &input);
+        sim
+    };
+    rows.time_with_setup(SIM_DENSE, loaded, |sim| {
+        black_box(sim.run_dense().expect("LU plan runs"));
+    });
+    rows.time_with_setup(SIM_READY, loaded, |sim| {
+        black_box(sim.run().expect("LU plan runs"));
+    });
+}
+
 /// `sparse_closure/*` on the pinned n = 4096 power-law graph: the full
 /// sparse pipeline, the tiled systolic bridge over the condensed DAG
 /// (informational) and the dense `BitMatrix` sweep.
@@ -605,6 +645,7 @@ pub fn run() -> Record {
     let mut rows = Rows::default();
     batched_closure(&mut rows);
     plan_reuse(&mut rows);
+    sim_loop(&mut rows);
     sparse_closure(&mut rows);
     parallel_batch(&mut rows);
     eprintln!("bench_record: varying_utilization, serve");
@@ -638,7 +679,7 @@ mod tests {
     }
 
     /// The pinned gate set: a drift here drops or loosens a gate.
-    const PARITY: [(&str, Bound); 17] = [
+    const PARITY: [(&str, Bound); 18] = [
         ("lsgp_speedup_vs_linear", Bound::AtLeast(0.1)),
         ("packed_speedup_vs_linear", Bound::AtLeast(8.0)),
         ("packed_w2_speedup_vs_w1", Bound::AtLeast(0.1)),
@@ -653,6 +694,7 @@ mod tests {
         ("varying_utilization_grid", Bound::AtLeast(0.5)),
         ("varying_linear_over_grid", Bound::AtLeast(1.0)),
         ("varying_ok", Bound::AtLeast(1.0)),
+        ("elim_ready_speedup_vs_dense", Bound::AtLeast(2.0)),
         ("serve_stream", Bound::AtLeast(2.0)),
         ("serve_concurrent", Bound::AtLeast(1.0)),
         ("serve_recover", Bound::AtLeast(1.0)),
@@ -740,6 +782,8 @@ mod tests {
             ("batched_closure/bitmatrix_blocked/2048", 20.5),
             ("sparse_closure/sparse_4096", 0.3),
             ("sparse_closure/dense_4096", 174.0),
+            (SIM_DENSE, 14.0),
+            (SIM_READY, 4.5),
         ];
         Record {
             rows: rows
@@ -830,6 +874,14 @@ mod tests {
         );
 
         let mut r = passing();
+        r.rows.retain(|(id, _)| id != SIM_READY);
+        assert_eq!(failing_keys(&r), ["elim_ready_speedup_vs_dense"]);
+        let mut r = passing();
+        let ready = r.rows.iter_mut().find(|(id, _)| id == SIM_READY);
+        ready.expect("ready row").1 = timing(7.5);
+        assert_eq!(failing_keys(&r), ["elim_ready_speedup_vs_dense"]);
+
+        let mut r = passing();
         r.varying.measured_grid = 0.94;
         assert_eq!(failing_keys(&r), ["varying_linear_over_grid", "varying_ok"]);
     }
@@ -837,7 +889,7 @@ mod tests {
     #[test]
     fn json_keeps_the_recorded_keys_and_row_ids() {
         let json = render(&passing().to_json());
-        for key in PARITY.iter().take(14).map(|(k, _)| k).chain(&[
+        for key in PARITY.iter().take(15).map(|(k, _)| k).chain(&[
             "bench",
             "samples",
             "results",

@@ -26,7 +26,7 @@ pub mod mem;
 pub mod pool;
 pub mod rng;
 
-pub use bench::{black_box, time, Timing};
+pub use bench::{black_box, time_with_setup, Timing};
 pub use check::Checker;
 pub use mem::peak_rss_bytes;
 pub use pool::{JobPanic, WaitGroup, WorkerPool};

@@ -17,9 +17,12 @@ cargo test -q --workspace
 # CSR pipeline to the dense oracle and the tiled bridge to the untiled
 # closure. elimination and proptest_mappings pin every mapping's one plan
 # builder: LU/Faddeev bit-exactness and closure cross-mapping equality.
+# ready_dense pins the simulator's event-driven ready loop to the dense
+# every-cycle loop (outputs and RunStats) on compiled closure and
+# elimination plans, multi-cycle durations included.
 cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
     --test proptest_sparse --test proptest_durations --test elimination \
-    --test proptest_mappings
+    --test ready_dense --test proptest_mappings
 
 # The repo benchmark (perfbench/, its own workspace) links systolic-bench
 # and systolic-util by path; build it so an API change there fails here.
