@@ -23,18 +23,19 @@
 //! pivot-row element leaves through the task's dedicated `head_out`
 //! stream, each level's pivot stream (the `L` column) drains at the row's
 //! right edge, and the last level's fused sub-columns are the remaining
-//! trailing block. [`run_elimination_timed`] reassembles those streams into
+//! trailing block. [`run_elimination_timed`] runs the graph on a fresh
+//! [`crate::MappedEngine`] over the chosen geometry — the executor and
+//! result decoder closure uses — which reassembles those streams into
 //! the full in-place elimination state — for LU the compact `L\U` factors,
 //! bit-identical to the straight-line reference (identical expression
 //! trees, same f64 operations in the same order). Per-level durations
 //! enter only through the graph ([`GenericGGraph::with_row_durations`]).
 
 use crate::engine::EngineError;
-use crate::grid::GridMapping;
-use crate::linear::LpgsMapping;
+use crate::grid::{GridEngine, GridMapping};
+use crate::linear::{LinearEngine, LpgsMapping};
 use crate::mapping::Mapping;
 use crate::plan::CompiledPlan;
-use crate::wiring::OutputLayout;
 use systolic_arraysim::RunStats;
 use systolic_semiring::{DenseMatrix, Real};
 use systolic_transform::GenericGGraph;
@@ -224,45 +225,15 @@ pub fn run_elimination_timed(
             "need {levels} per-level durations ≥ 1, got {durs:?}"
         )));
     }
+    // A fresh executor per call, over the mapping that runs transitive
+    // closure on the same array: nothing is cached across calls.
     let gg = algo.graph(n).with_row_durations(durs);
-    let plan = mapping.compile(&gg, 1)?;
-    let mut sim = plan.instantiate::<Real>(false);
-    plan.load(&mut sim, std::slice::from_ref(a));
-    let stats = sim.run()?;
-
-    let msize = a.rows();
-    let layout = OutputLayout::new(&gg, 0);
-    let outs = sim.outputs();
-    let expect = |stream: usize, want: usize| -> Result<&Vec<f64>, EngineError> {
-        let s = &outs[stream];
-        if s.len() == want {
-            Ok(s)
-        } else {
-            Err(EngineError::Corrupt {
-                instance: 0,
-                detail: format!("output stream {stream} has {} of {want} words", s.len()),
-            })
-        }
-    };
-
-    let mut f = DenseMatrix::<Real>::zeros(msize, msize);
-    for k in 0..levels {
-        let lcol = expect(layout.lcol(0, k), msize - k)?;
-        for (r, &v) in lcol.iter().enumerate() {
-            f.set(k + r, k, v);
-        }
-        for h in k + 1..msize {
-            let head = expect(layout.head(0, k, k, h), 1)?;
-            f.set(k, h, head[0]);
-        }
-    }
-    for h in levels..msize {
-        let tail = expect(layout.trailing(0, h), msize - levels)?;
-        for (r, &v) in tail.iter().enumerate() {
-            f.set(levels + r, h, v);
-        }
-    }
-    Ok((f, stats))
+    let a = std::slice::from_ref(a);
+    let (mut out, stats) = match mapping {
+        EliminationMapping::Linear { m } => LinearEngine::new(m).run_graph(&gg, a, None),
+        EliminationMapping::Grid { s } => GridEngine::new(s).run_graph(&gg, a, None),
+    }?;
+    Ok((out.pop().expect("one instance in, one out"), stats))
 }
 
 /// Checks an elimination input's shape and returns the problem size `n`.

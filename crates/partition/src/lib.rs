@@ -4,7 +4,8 @@
 //! Every engine is a [`Mapping`] (pure geometry: cell count, task
 //! placement, stream wiring) executed by the one generic [`MappedEngine`]
 //! (plan memoization, simulator recycling, fault arming, trace capture,
-//! output reassembly). All are generic over a bounded idempotent semiring
+//! output reassembly), which also runs [`algo`]'s LU and Faddeev
+//! pipelines. All engines are generic over a bounded idempotent semiring
 //! and run on the cycle-level simulator (`systolic-arraysim`):
 //!
 //! * [`FixedArrayEngine`] — the Fig. 17 G-graph implemented directly as an
@@ -15,6 +16,8 @@
 //!   G-sets are `m` consecutive skewed positions of one row, scheduled by
 //!   vertical paths (Fig. 20a), one private memory bank per cell plus one
 //!   pivot boundary bank (`m + 1` memory connections).
+//!   [`LinearEngine::bypassing`] is the same mapping over the healthy
+//!   cells of an array with faulty cells bypassed (§5, [`fault`]).
 //! * [`GridEngine`] — cut-and-pile onto `√m × √m` cells (Fig. 19):
 //!   G-sets are `√m × √m` blocks in `(k, h)` space with triangular
 //!   boundary sets, `2√m` memory connections.
@@ -78,7 +81,7 @@ pub use algo::{
     run_elimination_timed, Algo, EliminationMapping,
 };
 pub use engine::{ClosureEngine, EngineError};
-pub use fault::{grid_fault_capacity, linear_fault_capacity, FaultyLinearEngine};
+pub use fault::{grid_fault_capacity, linear_fault_capacity};
 pub use fixed::{FixedArrayEngine, FixedArrayMapping, FixedLinearEngine, FixedLinearMapping};
 pub use grid::{GridEngine, GridMapping};
 pub use linear::{LinearEngine, LpgsMapping};

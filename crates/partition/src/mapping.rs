@@ -7,8 +7,8 @@
 //! mapping actually decides is small: how many cells, which cell runs
 //! which G-node, and how the pivot/column streams travel between them.
 //! Everything else — batch validation, plan memoization, simulator
-//! recycling, fault-plan arming, trace capture, output-column reassembly —
-//! is identical machinery.
+//! recycling, fault-plan arming, trace capture, result reassembly — is
+//! identical machinery, for closure and elimination graphs alike.
 //!
 //! [`Mapping`] captures exactly the per-mapping decisions: a name, the
 //! cell count, and one plan builder per array geometry,
@@ -18,7 +18,11 @@
 //! result sinks, stream length, duration), so closure, LU and Faddeev all
 //! compile through the same mappings, and varying G-node durations (§4.3)
 //! enter only through the graph. [`Mapping::build_plan`] is the closure
-//! shorthand. [`MappedEngine`] owns the shared run machinery exactly once.
+//! shorthand. [`MappedEngine`] owns the shared run machinery exactly once:
+//! one crate-private `run_graph` runs any graph's batch and decodes it
+//! through one output layout, so closure runs, the elimination pipelines
+//! of [`crate::algo`] and the bypass-degraded array
+//! ([`crate::LinearEngine::bypassing`]) all take the same path.
 //! The concrete engines ([`crate::LinearEngine`],
 //! [`crate::FixedArrayEngine`], [`crate::FixedLinearEngine`],
 //! [`crate::GridEngine`], [`crate::LsgpEngine`]) are type aliases
@@ -26,17 +30,18 @@
 
 use crate::engine::{prepare_batch, ClosureEngine, EngineError};
 use crate::plan::{CompiledPlan, PlanCache, SimSlot};
+use crate::wiring::OutputLayout;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use systolic_arraysim::{ArraySim, FaultEvent, FaultPlan, RunStats};
-use systolic_semiring::{DenseMatrix, PathSemiring};
+use systolic_semiring::{DenseMatrix, PathSemiring, Semiring};
 use systolic_transform::GenericGGraph;
 
 /// How G-sets land on cells: the per-mapping third of an engine.
 ///
 /// A mapping is pure geometry/schedule — it never touches matrix values,
 /// so one implementation serves every semiring, and the compiled plan it
-/// returns may be memoized per `(n, batch_len)` shape and shared across
+/// returns may be memoized per `(G-graph, batch_len)` and shared across
 /// engine clones.
 pub trait Mapping: Clone + std::fmt::Debug + Send + Sync + 'static {
     /// Engine name for reports (the [`ClosureEngine::name`] of the
@@ -94,7 +99,7 @@ pub struct MappedEngine<M: Mapping> {
     nonce: AtomicU64,
     /// Faults applied during the most recent run (success or failure).
     last_faults: Mutex<Vec<FaultEvent>>,
-    /// Compiled schedules per `(n, batch_len)`, shared across clones.
+    /// Compiled schedules per `(G-graph, batch_len)`, shared across clones.
     plans: PlanCache,
     /// Reusable simulator from the previous run (per engine value).
     sims: SimSlot,
@@ -166,11 +171,6 @@ impl<M: Mapping> MappedEngine<M> {
         self.last_faults.lock().expect("fault log poisoned").clone()
     }
 
-    /// Takes the most recent run's fault events without cloning them.
-    pub(crate) fn take_recent_fault_events(&self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.last_faults.lock().expect("fault log poisoned"))
-    }
-
     /// Drops the memoized plans and the cached simulator, forcing the next
     /// call to compile from scratch (the fault-nonce sequence continues
     /// unchanged). Mainly for cache-vs-fresh equivalence tests.
@@ -179,27 +179,28 @@ impl<M: Mapping> MappedEngine<M> {
         self.sims.clear();
     }
 
-    /// True when a plan for the `(n, batch_len)` shape is already compiled
-    /// — the next same-shape run is *warm* (no schedule rebuild). The
+    /// True when a closure plan for the `(n, batch_len)` shape is already
+    /// compiled — the next same-shape run is *warm* (no schedule rebuild). The
     /// admission batcher uses this to prove a settled server never
     /// recompiles.
     pub fn has_plan(&self, n: usize, batch_len: usize) -> bool {
-        self.plans.contains(n, batch_len)
+        n >= 2 && self.plans.contains(&GenericGGraph::closure(n), batch_len)
     }
 
-    /// Runs a prepared (reflexive) batch through the cached plan/simulator,
+    /// Runs a prepared batch of `gg` instances through the cached
+    /// plan/simulator and reassembles each instance's result matrix,
     /// arming `armed` verbatim when given. The fault log is recorded into
     /// `last_faults` iff a plan was armed.
-    fn run_batch<S: PathSemiring>(
+    pub(crate) fn run_graph<S: Semiring>(
         &self,
-        n: usize,
+        gg: &GenericGGraph,
         batch: &[DenseMatrix<S>],
         armed: Option<FaultPlan>,
     ) -> Result<(Vec<DenseMatrix<S>>, RunStats), EngineError> {
         self.mapping.validate()?;
         let plan = self
             .plans
-            .get_or_build(n, batch.len(), || self.mapping.build_plan(n, batch.len()));
+            .get_or_build(gg, batch.len(), || self.mapping.graph_plan(gg, batch.len()));
         let mut sim: ArraySim<S> = self
             .sims
             .take(&plan)
@@ -217,40 +218,12 @@ impl<M: Mapping> MappedEngine<M> {
             *self.last_faults.lock().expect("fault log poisoned") = sim.take_fault_events();
         }
         let stats = run?;
-        let outs = sim.outputs();
-        let out0 = 0;
-        let mut results = Vec::with_capacity(batch.len());
-        for inst in 0..batch.len() {
-            let mut r = DenseMatrix::<S>::zeros(n, n);
-            for j in 0..n {
-                let col = &outs[out0 + inst * n + j];
-                if col.len() != n {
-                    // A dropped/duplicated stream word that still drained:
-                    // structurally corrupt output, not a simulator bug.
-                    return Err(EngineError::Corrupt {
-                        instance: inst,
-                        detail: format!("output column {j} has {} of {n} words", col.len()),
-                    });
-                }
-                r.set_col(j, col);
-            }
-            results.push(r);
-        }
+        let layout = OutputLayout::new(gg);
+        let results = (0..batch.len())
+            .map(|inst| layout.assemble(gg, sim.outputs(), inst))
+            .collect::<Result<Vec<_>, _>>()?;
         self.sims.store(plan, sim);
         Ok((results, stats))
-    }
-
-    /// [`ClosureEngine::closure_many`] with an explicit pre-reseeded fault
-    /// plan, bypassing this engine's own plan/nonce. Lets the degraded
-    /// array wrapper reuse a persistent inner engine (and its caches) while
-    /// reproducing its historical reseeding chain exactly.
-    pub(crate) fn closure_many_with_plan<S: PathSemiring>(
-        &self,
-        mats: &[DenseMatrix<S>],
-        armed: Option<FaultPlan>,
-    ) -> Result<(Vec<DenseMatrix<S>>, RunStats), EngineError> {
-        let (n, batch) = prepare_batch(mats)?;
-        self.run_batch(n, &batch, armed)
     }
 }
 
@@ -276,6 +249,6 @@ impl<M: Mapping, S: PathSemiring> ClosureEngine<S> for MappedEngine<M> {
             .plan
             .as_ref()
             .map(|p| p.reseeded(self.nonce.fetch_add(1, Ordering::Relaxed)));
-        self.run_batch(n, &batch, armed)
+        self.run_graph(&GenericGGraph::closure(n), &batch, armed)
     }
 }

@@ -113,8 +113,8 @@ impl PackedEngine {
         Self::from_engine(LinearEngine::new(m))
     }
 
-    /// Wraps an existing engine (keeping its plan cache, link delays and
-    /// any armed fault plan) in the 64-lane Boolean plane.
+    /// Wraps an existing engine (keeping its plan cache, bypass
+    /// configuration and any armed fault plan) in the 64-lane Boolean plane.
     pub fn from_engine(inner: LinearEngine) -> Self {
         Self::wrapping(inner)
     }
@@ -128,7 +128,7 @@ impl<L: LaneSemiring> PackedEngine<L> {
     }
 
     /// Wraps an existing engine in lane plane `L`, keeping its plan
-    /// cache, link delays and any armed fault plan.
+    /// cache, bypass configuration and any armed fault plan.
     pub fn wrapping(inner: LinearEngine) -> Self {
         Self {
             inner,
@@ -261,7 +261,7 @@ impl<L: LaneSemiring> crate::recover::FaultAware<L::Scalar> for PackedEngine<L> 
         crate::recover::FaultAware::<L::Scalar>::blame_cell(&self.inner, event)
     }
 
-    fn bypass_plan(&self, faulty: &[usize]) -> Option<crate::fault::FaultyLinearEngine> {
+    fn bypass_plan(&self, faulty: &[usize]) -> Option<LinearEngine> {
         crate::recover::FaultAware::<L::Scalar>::bypass_plan(&self.inner, faulty)
     }
 }

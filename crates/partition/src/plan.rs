@@ -1,10 +1,11 @@
 //! Compile-once G-set schedules.
 //!
 //! Building an engine's schedule — task programs for every cell, the host
-//! demand order, the stream wiring — depends only on the problem *shape*
-//! `(n, batch_len)` plus the engine's own geometry, never on the matrix
-//! entries. [`CompiledPlan`] captures that shape-dependent work once:
-//! engines memoize plans per shape (see `PlanCache`), instantiate a
+//! demand order, the stream wiring — depends only on the G-graph and the
+//! batch length (for closure, the problem *shape* `(n, batch_len)`) plus
+//! the engine's own geometry, never on the matrix entries.
+//! [`CompiledPlan`] captures that shape-dependent work once: engines
+//! memoize plans per `(G-graph, batch_len)` (see `PlanCache`), instantiate a
 //! simulator from a plan, and on later calls [`ArraySim::reset`] the cached
 //! simulator (see `SimSlot`) and merely re-[`load`](CompiledPlan::load)
 //! the new matrices, entering the hot loop with zero schedule rebuilding.
@@ -22,6 +23,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use systolic_arraysim::{ArraySim, StreamDst, StreamSrc, Task};
 use systolic_semiring::{DenseMatrix, Semiring};
+use systolic_transform::GenericGGraph;
 
 /// One input-stream binding: which column of which batch instance enters
 /// the array where. Feeds replay in recorded order, which for host feeds
@@ -44,10 +46,10 @@ enum Feed {
     },
 }
 
-/// A fully compiled schedule for one `(n, batch_len)` shape: array
-/// geometry, per-cell task programs (shared, never copied per run), input
-/// feed order and the cycle budget. Independent of the semiring — one plan
-/// serves runs over any element type.
+/// A fully compiled schedule for a batch of one G-graph: array geometry,
+/// per-cell task programs (shared, never copied per run), input feed order
+/// and the cycle budget. Independent of the semiring — one plan serves runs
+/// over any element type.
 #[derive(Clone, Debug)]
 pub struct CompiledPlan {
     n: usize,
@@ -67,21 +69,6 @@ impl CompiledPlan {
     /// Problem size this plan was compiled for.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Batch length this plan was compiled for.
-    pub fn batch_len(&self) -> usize {
-        self.batch_len
-    }
-
-    /// Number of cells in the planned array.
-    pub fn cells(&self) -> usize {
-        self.cells
-    }
-
-    /// Total interned stream slots across all banks.
-    pub fn bank_stream_slots(&self) -> usize {
-        self.bank_slots.iter().map(Vec::len).sum()
     }
 
     /// Builds a fresh simulator with this plan's structure and programs
@@ -294,10 +281,10 @@ impl PlanBuilder {
     }
 }
 
-/// Plans memoized by `(n, batch_len)` shape.
-type PlanMap = HashMap<(usize, usize), Arc<CompiledPlan>>;
+/// Plans memoized by `(G-graph, batch_len)`.
+type PlanMap = HashMap<(GenericGGraph, usize), Arc<CompiledPlan>>;
 
-/// Shape-keyed plan memo, shared (via `Arc`) across engine clones — every
+/// Graph-keyed plan memo, shared (via `Arc`) across engine clones — every
 /// `ParallelEngine` shard reuses the one compiled plan per shape.
 #[derive(Clone, Default)]
 pub(crate) struct PlanCache {
@@ -305,18 +292,18 @@ pub(crate) struct PlanCache {
 }
 
 impl PlanCache {
-    /// Returns the memoized plan for `(n, batch_len)`, building it under
+    /// Returns the memoized plan for `(gg, batch_len)`, building it under
     /// the lock on first use (concurrent shards wait and then share it).
     pub(crate) fn get_or_build(
         &self,
-        n: usize,
+        gg: &GenericGGraph,
         batch_len: usize,
         build: impl FnOnce() -> CompiledPlan,
     ) -> Arc<CompiledPlan> {
         let mut plans = self.plans.lock().expect("plan cache poisoned");
         Arc::clone(
             plans
-                .entry((n, batch_len))
+                .entry((gg.clone(), batch_len))
                 .or_insert_with(|| Arc::new(build())),
         )
     }
@@ -325,12 +312,12 @@ impl PlanCache {
         self.plans.lock().expect("plan cache poisoned").clear();
     }
 
-    /// True when a plan for `(n, batch_len)` is already memoized.
-    pub(crate) fn contains(&self, n: usize, batch_len: usize) -> bool {
+    /// True when a plan for `(gg, batch_len)` is already memoized.
+    pub(crate) fn contains(&self, gg: &GenericGGraph, batch_len: usize) -> bool {
         self.plans
             .lock()
             .expect("plan cache poisoned")
-            .contains_key(&(n, batch_len))
+            .contains_key(&(gg.clone(), batch_len))
     }
 }
 
@@ -473,15 +460,22 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_memoizes_per_shape() {
+    fn plan_cache_memoizes_per_graph_and_batch() {
         let cache = PlanCache::default();
-        let p1 = cache.get_or_build(2, 1, trivial_plan);
-        let p2 = cache.get_or_build(2, 1, || panic!("must be memoized"));
+        let gg = GenericGGraph::closure(2);
+        let p1 = cache.get_or_build(&gg, 1, trivial_plan);
+        let p2 = cache.get_or_build(&gg, 1, || panic!("must be memoized"));
         assert!(Arc::ptr_eq(&p1, &p2));
-        let p3 = cache.get_or_build(2, 2, trivial_plan);
+        let p3 = cache.get_or_build(&gg, 2, trivial_plan);
         assert!(!Arc::ptr_eq(&p1, &p3));
-        cache.clear();
-        let p4 = cache.get_or_build(2, 1, trivial_plan);
+        // Same size, another graph (durations are part of the key).
+        let slow = GenericGGraph::closure(2).with_row_durations(&[1, 2]);
+        let p4 = cache.get_or_build(&slow, 1, trivial_plan);
         assert!(!Arc::ptr_eq(&p1, &p4));
+        assert!(cache.contains(&gg, 1) && cache.contains(&slow, 1));
+        cache.clear();
+        assert!(!cache.contains(&gg, 1));
+        let p5 = cache.get_or_build(&gg, 1, trivial_plan);
+        assert!(!Arc::ptr_eq(&p1, &p5));
     }
 }

@@ -13,8 +13,9 @@
 //! 4. **Bypass** — when one configuration keeps failing, the faults of the
 //!    rejected attempts are blamed on cells ([`FaultAware::blame_cell`]);
 //!    the most-struck cell is reclassified as *permanently* faulty and the
-//!    batch resumes on a [`FaultyLinearEngine`] bypass configuration
-//!    ([`FaultAware::bypass_plan`]) with a fresh retry budget. Bypassed
+//!    batch resumes on a bypass configuration of the linear array
+//!    ([`FaultAware::bypass_plan`], a [`LinearEngine`] over the healthy
+//!    cells) with a fresh retry budget. Bypassed
 //!    spare configurations are modelled as clean hardware (no fault plan):
 //!    escalation replaces the marginal cell, it does not re-roll it.
 //!
@@ -30,7 +31,7 @@
 //! healthy-cell topology) compiles a new plan.
 
 use crate::engine::{ClosureEngine, EngineError};
-use crate::fault::FaultyLinearEngine;
+use crate::linear::LinearEngine;
 use crate::verify::Verifier;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -62,7 +63,7 @@ pub trait FaultAware<S: PathSemiring>: ClosureEngine<S> {
 
     /// A degraded configuration with the given physical cells bypassed,
     /// if this engine family supports bypass reconfiguration.
-    fn bypass_plan(&self, _faulty: &[usize]) -> Option<FaultyLinearEngine> {
+    fn bypass_plan(&self, _faulty: &[usize]) -> Option<LinearEngine> {
         None
     }
 }
@@ -198,7 +199,7 @@ impl<S: PathSemiring, E: FaultAware<S>> ClosureEngine<S> for RecoveringEngine<E>
         // Degraded-configuration state persists across the batch: a cell
         // reclassified as permanently faulty stays bypassed.
         let mut bypassed: Vec<usize> = Vec::new();
-        let mut degraded: Option<FaultyLinearEngine> = None;
+        let mut degraded: Option<LinearEngine> = None;
         let mut strikes: HashMap<usize, u32> = HashMap::new();
 
         for (instance, a) in mats.iter().enumerate() {
@@ -237,9 +238,9 @@ impl<S: PathSemiring, E: FaultAware<S>> ClosureEngine<S> for RecoveringEngine<E>
                                 let mut set = bypassed.clone();
                                 set.push(cell);
                                 set.sort_unstable();
-                                self.inner.bypass_plan(&set).map(|eng| (cell, set, eng))
+                                self.inner.bypass_plan(&set).map(|eng| (set, eng))
                             });
-                            let Some((cell, set, eng)) = next else {
+                            let Some((set, eng)) = next else {
                                 self.outcomes
                                     .lock()
                                     .expect("outcomes poisoned")
@@ -254,7 +255,6 @@ impl<S: PathSemiring, E: FaultAware<S>> ClosureEngine<S> for RecoveringEngine<E>
                                     ),
                                 });
                             };
-                            let _ = cell;
                             bypassed = set;
                             degraded = Some(eng);
                             extra.bypasses += 1;
@@ -330,7 +330,7 @@ impl<E> RecoveringEngine<E> {
     /// pure delay faults and carry no blame.
     fn strike<S: PathSemiring>(
         &self,
-        degraded: &Option<FaultyLinearEngine>,
+        degraded: &Option<LinearEngine>,
         events: &[FaultEvent],
         strikes: &mut HashMap<usize, u32>,
     ) where
@@ -347,7 +347,7 @@ impl<E> RecoveringEngine<E> {
                 continue;
             }
             let cell = match degraded {
-                Some(d) => <FaultyLinearEngine as FaultAware<S>>::blame_cell(d, ev),
+                Some(d) => <LinearEngine as FaultAware<S>>::blame_cell(d, ev),
                 None => self.inner.blame_cell(ev),
             };
             if let Some(c) = cell {

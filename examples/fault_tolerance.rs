@@ -9,7 +9,7 @@
 
 use systolic::closure::gnp;
 use systolic::partition::{
-    grid_fault_capacity, linear_fault_capacity, ClosureEngine, FaultyLinearEngine, LinearEngine,
+    grid_fault_capacity, linear_fault_capacity, ClosureEngine, LinearEngine,
 };
 use systolic_semiring::{warshall, Bool};
 
@@ -26,12 +26,12 @@ fn main() {
     println!("|-------:|--------------:|-------:|---------:|--------------:|--------|");
     for faults in 1..=4usize {
         let fault_set: Vec<usize> = (0..faults).map(|i| 2 * i + 1).collect();
-        let eng = FaultyLinearEngine::new(m, &fault_set).unwrap();
+        let eng = LinearEngine::bypassing(m, &fault_set).unwrap();
         let (got, stats) = ClosureEngine::<Bool>::closure(&eng, &a).unwrap();
         let ok = got == want;
         println!(
             "| {faults:>6} | {:>13} | {:>6} | {:>8.3} | {:>13.3} | {} |",
-            eng.healthy_cells(),
+            stats.cells,
             stats.cycles,
             stats.cycles as f64 / healthy.cycles as f64,
             m as f64 / (m - faults) as f64,

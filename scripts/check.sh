@@ -19,10 +19,14 @@ cargo test -q --workspace
 # builder: LU/Faddeev bit-exactness and closure cross-mapping equality.
 # ready_dense pins the simulator's event-driven ready loop to the dense
 # every-cycle loop (outputs and RunStats) on compiled closure and
-# elimination plans, multi-cycle durations included.
+# elimination plans, multi-cycle durations included. failure_injection
+# pins fault injection, recovery and the bypass-degraded array (one
+# LPGS mapping over the healthy cells); proptest_packed pins the lane
+# plane to the scalar engine, on a degraded array too.
 cargo test -q --test proptest_lanes --test proptest_swar --test proptest_laws \
     --test proptest_sparse --test proptest_durations --test elimination \
-    --test ready_dense --test proptest_mappings
+    --test ready_dense --test proptest_mappings --test failure_injection \
+    --test proptest_packed
 
 # The repo benchmark (perfbench/, its own workspace) links systolic-bench
 # and systolic-util by path; build it so an API change there fails here.

@@ -109,15 +109,17 @@ fn engines_reject_bad_shapes() {
 }
 
 #[test]
-fn bad_link_delays_are_rejected_not_panicked() {
-    // Wrong delay count and a zero-latency link are parameter errors,
-    // reported like every other mapping parameter.
-    let a = DenseMatrix::<Bool>::zeros(3, 3);
-    for (m, delays) in [(3, vec![1]), (2, vec![0])] {
-        let eng = LinearEngine::with_link_delays(m, delays.clone());
-        match ClosureEngine::<Bool>::closure(&eng, &a) {
-            Err(EngineError::BadInput(msg)) => assert!(msg.contains("delay"), "{msg}"),
-            other => panic!("m={m} delays={delays:?}: expected BadInput, got {other:?}"),
+fn bad_bypass_sets_are_rejected_not_panicked() {
+    // An out-of-range or duplicate fault index, an all-faulty array and an
+    // empty array are parameter errors, reported like every other mapping
+    // parameter.
+    let cases: [(usize, &[usize]); 4] = [(3, &[3]), (3, &[1, 1]), (2, &[0, 1]), (0, &[])];
+    for (physical, faults) in cases {
+        match LinearEngine::bypassing(physical, faults) {
+            Err(EngineError::BadInput(_)) => {}
+            other => {
+                panic!("physical={physical} faults={faults:?}: expected BadInput, got {other:?}")
+            }
         }
     }
 }
@@ -170,9 +172,7 @@ fn pass_through_chain_preserves_order_under_backpressure() {
 // ---------------------------------------------------------------------------
 
 use systolic::arraysim::FaultPlan;
-use systolic::partition::{
-    Escalation, FaultyLinearEngine, RecoveringEngine, RecoveryPolicy, Verifier,
-};
+use systolic::partition::{Escalation, RecoveringEngine, RecoveryPolicy, Verifier};
 use systolic_semiring::{warshall, Semiring};
 use systolic_util::Rng;
 
@@ -322,7 +322,7 @@ fn recovering_engine_over_degraded_array_stays_exact() {
     // A bypass-degraded array with live transient faults, wrapped in the
     // recovery layer: every accepted closure must be exact. Seeds are
     // pinned, so the retry/escalation trace is reproducible.
-    let inner = FaultyLinearEngine::new(5, &[1, 3])
+    let inner = LinearEngine::bypassing(5, &[1, 3])
         .unwrap()
         .with_fault_plan(FaultPlan::transients(31, 2e-4));
     let eng = RecoveringEngine::new(inner).with_policy(RecoveryPolicy {
@@ -338,7 +338,7 @@ fn recovering_engine_over_degraded_array_stays_exact() {
     // seed; the report is reproducible run-over-run.
     assert!(stats.fault.injected > 0, "no fault fired: weak test");
     let eng2 = RecoveringEngine::new(
-        FaultyLinearEngine::new(5, &[1, 3])
+        LinearEngine::bypassing(5, &[1, 3])
             .unwrap()
             .with_fault_plan(FaultPlan::transients(31, 2e-4)),
     )

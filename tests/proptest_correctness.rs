@@ -162,7 +162,6 @@ fn grid_engine_matches_reference() {
 #[test]
 fn degraded_arrays_stay_exact() {
     Checker::new("degraded arrays stay exact", 8).run(|rng| {
-        use systolic::partition::FaultyLinearEngine;
         let a = bool_matrix(rng, 8);
         let physical = 3 + rng.gen_usize(4); // 3..=6
         let fault_bits = rng.next_u64() & 0x3f;
@@ -172,7 +171,7 @@ fn degraded_arrays_stay_exact() {
         if faults.len() == physical {
             return Ok(()); // all cells faulty: nothing to run on
         }
-        let eng = FaultyLinearEngine::new(physical, &faults).unwrap();
+        let eng = LinearEngine::bypassing(physical, &faults).unwrap();
         let (got, stats) = eng.closure(&a).unwrap();
         assert_eq!(got, warshall(&a));
         assert_eq!(stats.cells, physical - faults.len());

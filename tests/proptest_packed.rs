@@ -62,6 +62,28 @@ fn packed_engine_is_bit_identical_to_linear() {
 }
 
 #[test]
+fn packed_engine_over_a_degraded_array_matches_the_scalar_one() {
+    // Packing composes with bypass: the lane plane runs on the degraded
+    // chain (healthy cells 0, 1, 4, 5) exactly as the scalar engine does.
+    Checker::new("packed over degraded array", 2).run(|rng| {
+        let n = 2 + rng.gen_usize(5); // 2..=6
+        let scalar = LinearEngine::bypassing(6, &[2, 3]).unwrap();
+        let packed = PackedEngine::from_engine(LinearEngine::bypassing(6, &[2, 3]).unwrap());
+        for len in [1, 63, 64, 65] {
+            let batch = random_batch(rng, len, n);
+            let (want, want_stats) = per_instance_merge(&scalar, &batch);
+            let (got, got_stats) = packed.closure_many(&batch).unwrap();
+            assert_eq!(got, want, "results n={n} len={len}");
+            assert_eq!(got_stats, want_stats, "stats n={n} len={len}");
+            for (a, c) in batch.iter().zip(&got) {
+                assert_eq!(*c, warshall(a), "n={n} len={len}");
+            }
+        }
+        Ok(())
+    });
+}
+
+#[test]
 fn packed_engine_matches_chained_closure_many_results() {
     Checker::new("packed matches chained batch results", 3).run(|rng| {
         let n = 2 + rng.gen_usize(4); // 2..=5
