@@ -14,7 +14,7 @@
 //! the `Θ(n²)` state in external memories shared across the schedule.
 
 use systolic_semiring::{DenseMatrix, PathSemiring};
-use systolic_transform::GGraph;
+use systolic_transform::ggraph;
 
 /// Storage/makespan model of a coalesced (LSGP) linear implementation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -66,7 +66,8 @@ impl CoalescingModel {
     pub fn closure<S: PathSemiring>(&self, a: &DenseMatrix<S>) -> DenseMatrix<S> {
         // Coalescing reorders execution but preserves dependences; the
         // G-graph evaluator is its functional specification.
-        GGraph::new(self.n).eval::<S>(&systolic_semiring::reflexive(a))
+        assert_eq!(a.rows(), self.n, "matrix size must match the partition");
+        ggraph::eval::<S>(&systolic_semiring::reflexive(a))
     }
 }
 

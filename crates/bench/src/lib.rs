@@ -33,7 +33,9 @@ use systolic_partition::{
     LinearEngine, LsgpEngine, PackedEngine, ParallelEngine,
 };
 use systolic_semiring::{warshall, Bool, DenseMatrix};
-use systolic_transform::{lu_time_grid, pipelined, regular, unidirectional, validate_stage};
+use systolic_transform::{
+    lu_time_grid, pipelined, regular, unidirectional, validate_stage, GenericGGraph,
+};
 
 /// Default problem size for simulation-backed experiments.
 pub const N_SIM: usize = 24;
@@ -334,10 +336,11 @@ pub fn e10() -> String {
         (24, 2, true),
         (24, 3, true),
     ] {
+        let gg = GenericGGraph::closure(n);
         let sched = if grid {
-            GsetSchedule::grid(n, m)
+            GsetSchedule::grid(&gg, m)
         } else {
-            GsetSchedule::linear(n, m)
+            GsetSchedule::linear(&gg, m)
         };
         let cells = if grid { m * m } else { m };
         let legal = sched.verify_legal().is_ok();

@@ -2,6 +2,7 @@
 
 use crate::models::{GridModel, LinearModel};
 use systolic_partition::GsetSchedule;
+use systolic_transform::GenericGGraph;
 
 /// One `(n, m)` design point comparing the two partitioned structures.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,8 +36,9 @@ pub fn tradeoff_row(n: usize, s: usize) -> TradeoffRow {
     let m = s * s;
     let lin = LinearModel { n, m };
     let grid = GridModel { n, s };
-    let ls = GsetSchedule::linear(n, m);
-    let gs = GsetSchedule::grid(n, s);
+    let gg = GenericGGraph::closure(n);
+    let ls = GsetSchedule::linear(&gg, m);
+    let gs = GsetSchedule::grid(&gg, s);
     let idle = |sched: &GsetSchedule, cells: usize| {
         let slots = sched.len() * cells;
         let used = sched.total_gnodes();

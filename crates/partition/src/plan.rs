@@ -387,6 +387,18 @@ mod tests {
     use systolic_arraysim::{TaskKind, TaskLabel};
     use systolic_semiring::MinPlus;
 
+    impl CompiledPlan {
+        /// Each cell's program as the `(k, h)` labels of its tasks, in
+        /// order: what the schedule tests compare G-sets against.
+        pub(crate) fn task_labels(&self) -> Vec<Vec<(usize, usize)>> {
+            let label = |t: &Task| (t.label.k as usize, t.label.h as usize);
+            self.programs
+                .iter()
+                .map(|p| p.iter().map(label).collect())
+                .collect()
+        }
+    }
+
     fn trivial_plan() -> CompiledPlan {
         let mut b = PlanBuilder::new(2, 1, 1);
         let bank = b.add_bank();

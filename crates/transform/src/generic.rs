@@ -11,8 +11,8 @@
 //! algorithm:
 //!
 //! * [`GenericGGraph::closure`] — `n` rows of `n + 1` uniform-time G-nodes
-//!   with a delay tail (Fig. 17); [`GGraph::generic`] bridges the concrete
-//!   closure G-graph into this form, byte-for-byte equivalent in geometry.
+//!   with a delay tail (Fig. 17), whose stream semantics are
+//!   [`ggraph::eval`](crate::ggraph::eval).
 //! * [`GenericGGraph::lu`] / [`GenericGGraph::faddeev`] — shrinking
 //!   trapezoids of Gaussian-elimination levels whose G-node times decrease
 //!   monotonically across rows but stay uniform *within* a row: the §4.3
@@ -22,7 +22,6 @@
 //!   [`grouping_profile`](crate::grouping_profile) from an arbitrary
 //!   dependence graph) becomes a generic G-graph directly.
 
-use crate::ggraph::GGraph;
 use crate::grouping::TimeGrid;
 
 /// What a graph's G-nodes compute: the one algorithm-specific fact a plan
@@ -299,60 +298,38 @@ impl GenericGGraph {
                 .collect(),
         }
     }
-
-    /// Lock-step row entry times: row `k` starts once rows `0..k` have each
-    /// run for one full G-node time. With uniform time `n` this reduces to
-    /// the closure schedule's analytic starts `k · n`.
-    pub fn lockstep_starts(&self) -> Vec<u64> {
-        let mut starts = Vec::with_capacity(self.rows.len());
-        let mut t = 0u64;
-        for r in &self.rows {
-            starts.push(t);
-            t += r.gnode_time();
-        }
-        starts
-    }
-}
-
-impl GGraph {
-    /// Views the concrete closure G-graph through the algorithm-generic
-    /// interface (identical geometry; see the equivalence tests).
-    pub fn generic(&self) -> GenericGGraph {
-        GenericGGraph::closure(self.n())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ggraph::{GGraph, GNodeRole};
     use crate::grouping::{faddeev_time_grid, lu_time_grid};
 
     #[test]
-    fn closure_generic_matches_concrete_ggraph() {
+    fn closure_geometry_matches_fig17() {
         for n in [2usize, 3, 5, 8] {
-            let gg = GGraph::new(n);
-            let gen = gg.generic();
-            assert_eq!(gen.rows(), gg.rows());
-            assert_eq!(gen.gnode_count(), gg.gnode_count());
-            assert_eq!(gen.h_max(), gg.h_max());
+            let g = GenericGGraph::closure(n);
+            assert_eq!(g.rows(), n);
+            assert_eq!(g.gnode_count(), n * (n + 1));
+            assert_eq!(g.h_max(), 2 * n - 1);
+            assert_eq!(g.total_useful_ops(), (n * (n - 1) * (n - 2)) as u64);
             for k in 0..n {
-                assert_eq!(gen.row(k).gnode_time(), gg.gnode_time() as u64);
-                for h in 0..=gen.h_max() + 1 {
-                    let got = gen.at_h(k, h);
-                    let want = gg.at_h(k, h).map(|id| match gg.role(id) {
-                        GNodeRole::PivotHead => GenRole::Head,
-                        GNodeRole::Fuse => GenRole::Fuse,
-                        GNodeRole::DelayTail => GenRole::Tail,
-                    });
-                    assert_eq!(got, want, "n={n} k={k} h={h}");
-                    if let Some(id) = gg.at_h(k, h) {
-                        assert_eq!(gen.useful_ops(k, h), gg.useful_ops(id) as u64);
-                    }
+                // Uniform G-node time n: what gives the fixed-size array
+                // its maximal utilization (§3.2).
+                assert_eq!(g.row(k).gnode_time(), n as u64);
+                for h in 0..=g.h_max() + 1 {
+                    let want = if h == k {
+                        Some(GenRole::Head)
+                    } else if h == k + n {
+                        Some(GenRole::Tail)
+                    } else if h > k && h < k + n {
+                        Some(GenRole::Fuse)
+                    } else {
+                        None
+                    };
+                    assert_eq!(g.at_h(k, h), want, "n={n} k={k} h={h}");
                 }
             }
-            let concrete: usize = gg.iter().map(|id| gg.useful_ops(id)).sum();
-            assert_eq!(gen.total_useful_ops(), concrete as u64);
         }
     }
 
@@ -411,19 +388,6 @@ mod tests {
         assert_eq!(tg.times[1], vec![8; 4]);
         assert!(tg.rows_uniform());
         assert!(!tg.is_uniform());
-    }
-
-    #[test]
-    fn lockstep_starts_reduce_to_analytic_for_uniform_times() {
-        let n = 6;
-        let g = GenericGGraph::closure(n);
-        let starts = g.lockstep_starts();
-        for (k, s) in starts.iter().enumerate() {
-            assert_eq!(*s, (k * n) as u64);
-        }
-        // Varying times accumulate the actual per-row G-node time.
-        let lu = GenericGGraph::lu(4); // lens 4, 3, 2
-        assert_eq!(lu.lockstep_starts(), vec![0, 4, 7]);
     }
 
     #[test]

@@ -1,227 +1,60 @@
-//! The G-graph of Fig. 17: the regular graph with each strip column
-//! collapsed into a single **G-node** of computation time `n`.
+//! The stream semantics of the Fig. 17 G-graph: the regular graph with
+//! each strip column collapsed into a single **G-node** of computation
+//! time `n`.
 //!
-//! Structure (see `DESIGN.md` §4 for the full derivation):
+//! The geometry (rows, roles, skewed `(k, h)` coordinates, times) lives in
+//! [`GenericGGraph::closure`](crate::GenericGGraph::closure); this module
+//! holds what a G-node *computes*:
 //!
-//! * `n` rows of `n + 1` G-nodes; row `k` executes level `k` of Warshall.
-//! * G-node `(k, 0)` is the **pivot head**: it turns the incoming pivot
-//!   column into the rightward pivot stream.
-//! * G-nodes `(k, 1..n-1)` are **fuse** nodes: each processes one matrix
-//!   column as an `n`-element stream against the pivot stream.
-//! * G-node `(k, n)` is the **delay tail** (the inserted delay column): it
-//!   returns the pivot stream to the next level as a column.
-//! * Column streams flow **down-left** `(k, g) → (k+1, g-1)`; pivot streams
-//!   flow **right** `(k, g) → (k, g+1)`.
+//! * row `k` executes level `k` of Warshall;
+//! * the **pivot head** `(k, h = k)` turns the incoming pivot column into
+//!   the rightward pivot stream;
+//! * each **fuse** `(k, k+1..k+n-1)` processes one matrix column as an
+//!   `n`-element stream against the pivot stream;
+//! * the **delay tail** `(k, k+n)` (the inserted delay column) returns the
+//!   pivot stream to the next level as a column.
 //!
-//! In skewed coordinates `h = g + k` the G-graph is a parallelogram where
-//! columns flow straight down — the drawing used for G-set selection and
-//! scheduling (Fig. 18–20), exposed here as [`GGraph::h_of`] /
-//! [`GGraph::h_range`].
-//!
-//! [`GGraph::eval`] is the functional stream semantics: the specification
-//! every simulated array engine must match.
+//! [`eval`] is the functional stream semantics: the specification every
+//! simulated array engine must match.
 
 use systolic_semiring::{DenseMatrix, PathSemiring};
 
-/// Role of a G-node within its row.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum GNodeRole {
-    /// `(k, 0)`: consumes the pivot column, emits the pivot stream.
-    PivotHead,
-    /// `(k, 1..n-1)`: fuses one matrix column against the pivot stream.
-    Fuse,
-    /// `(k, n)`: delay column returning the pivot stream as a column.
-    DelayTail,
-}
-
-/// Identifier of a G-node: `(row k, position g)` with `g ∈ 0..=n`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GnodeId {
-    /// G-graph row (= Warshall level).
-    pub k: usize,
-    /// Position within the row, `0..=n`.
-    pub g: usize,
-}
-
-/// The Fig. 17 G-graph for problem size `n`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GGraph {
-    n: usize,
-}
-
-impl GGraph {
-    /// Builds the G-graph for an `n × n` problem (`n ≥ 2`).
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "G-graph needs n ≥ 2");
-        Self { n }
-    }
-
-    /// Problem size.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of G-graph rows (`n`).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.n
-    }
-
-    /// G-nodes per row (`n + 1`).
-    #[inline]
-    pub fn row_len(&self) -> usize {
-        self.n + 1
-    }
-
-    /// Total number of G-nodes, `n(n+1)`.
-    #[inline]
-    pub fn gnode_count(&self) -> usize {
-        self.n * (self.n + 1)
-    }
-
-    /// Computation time of every G-node (`n` cycles — one stream element per
-    /// cycle). The uniformity of this value is what gives the fixed-size
-    /// array maximal utilization (§3.2).
-    #[inline]
-    pub fn gnode_time(&self) -> usize {
-        self.n
-    }
-
-    /// Role of G-node `(k, g)`.
-    pub fn role(&self, id: GnodeId) -> GNodeRole {
-        assert!(id.k < self.n && id.g <= self.n);
-        match id.g {
-            0 => GNodeRole::PivotHead,
-            g if g == self.n => GNodeRole::DelayTail,
-            _ => GNodeRole::Fuse,
+/// Functional stream evaluation of the whole `n × n` closure G-graph — the
+/// semantic specification for every array engine.
+///
+/// `a` must already be reflexive (diagonal ≥ `1`); use
+/// [`systolic_semiring::reflexive`].
+///
+/// # Panics
+/// When `a` is not square or smaller than `2 × 2`.
+pub fn eval<S: PathSemiring>(a: &DenseMatrix<S>) -> DenseMatrix<S> {
+    let n = a.rows();
+    assert!(n >= 2, "G-graph needs n ≥ 2");
+    assert_eq!(a.cols(), n);
+    // cols[g] = column (k+g) mod n as a stream in row order starting at
+    // the pivot row k (invariant maintained level by level).
+    let mut cols: Vec<Vec<S::Elem>> = (0..n).map(|g| a.col(g)).collect();
+    for _k in 0..n {
+        let pivot = cols[0].clone();
+        let mut next: Vec<Vec<S::Elem>> = Vec::with_capacity(n);
+        for col in cols.iter().take(n).skip(1) {
+            next.push(gnode_stream::<S>(col, &pivot));
         }
+        next.push(rotate_stream::<S>(&pivot)); // delay tail
+        cols = next;
     }
-
-    /// Matrix column processed by G-node `(k, g)` (`None` for the delay
-    /// tail, whose "column" is the returning pivot stream).
-    pub fn column_of(&self, id: GnodeId) -> Option<usize> {
-        if id.g == self.n {
-            None
-        } else {
-            Some((id.k + id.g) % self.n)
-        }
+    // After n levels the columns are back in natural order.
+    let mut out = DenseMatrix::<S>::zeros(n, n);
+    for (g, col) in cols.iter().enumerate() {
+        out.set_col(g, col);
     }
-
-    /// Number of *useful* primitive operations inside G-node `(k, g)`:
-    /// `n - 2` for fuse nodes (all rows except the pivot row and the
-    /// diagonal element), `0` for the pivot head and delay tail. Summing
-    /// over the graph gives the paper's `N = n(n-1)(n-2)`.
-    pub fn useful_ops(&self, id: GnodeId) -> usize {
-        match self.role(id) {
-            GNodeRole::Fuse => self.n - 2,
-            _ => 0,
-        }
-    }
-
-    /// Producer of the column stream consumed by `(k, g)`: `(k-1, g+1)`,
-    /// or `None` when the stream comes from the host (row 0).
-    pub fn column_dep(&self, id: GnodeId) -> Option<GnodeId> {
-        if id.k == 0 || id.g == self.n {
-            None
-        } else {
-            Some(GnodeId {
-                k: id.k - 1,
-                g: id.g + 1,
-            })
-        }
-    }
-
-    /// Producer of the pivot stream consumed by `(k, g)`: `(k, g-1)`, or
-    /// `None` for the pivot head (which generates it).
-    pub fn pivot_dep(&self, id: GnodeId) -> Option<GnodeId> {
-        if id.g == 0 {
-            None
-        } else {
-            Some(GnodeId {
-                k: id.k,
-                g: id.g - 1,
-            })
-        }
-    }
-
-    /// Skewed horizontal coordinate `h = g + k` (parallelogram drawing, see
-    /// `DESIGN.md`): column streams flow straight down in `h`, pivot streams
-    /// flow right. G-set selection and scheduling operate in `(k, h)` space.
-    #[inline]
-    pub fn h_of(&self, id: GnodeId) -> usize {
-        id.g + id.k
-    }
-
-    /// The inclusive range of `h` coordinates present in row `k`:
-    /// `[k, k + n]`.
-    pub fn h_range(&self, k: usize) -> (usize, usize) {
-        (k, k + self.n)
-    }
-
-    /// Maximum `h` over the whole graph: `2n - 1`.
-    #[inline]
-    pub fn h_max(&self) -> usize {
-        2 * self.n - 1
-    }
-
-    /// The G-node at `(k, h)` in skewed coordinates, if `h` falls inside
-    /// row `k`'s parallelogram span.
-    pub fn at_h(&self, k: usize, h: usize) -> Option<GnodeId> {
-        if k < self.n && h >= k && h <= k + self.n {
-            Some(GnodeId { k, g: h - k })
-        } else {
-            None
-        }
-    }
-
-    /// Iterates over all G-node ids in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = GnodeId> + '_ {
-        let n = self.n;
-        (0..n).flat_map(move |k| (0..=n).map(move |g| GnodeId { k, g }))
-    }
-
-    /// Earliest start time of each G-node under fully pipelined execution
-    /// (the Fig. 20 tags): `t(k, g) = 2k + g`, derived from unit skew on
-    /// both the pivot and the column stream.
-    pub fn earliest_start(&self, id: GnodeId) -> usize {
-        2 * id.k + id.g
-    }
-
-    /// Functional stream evaluation of the whole G-graph — the semantic
-    /// specification for every array engine.
-    ///
-    /// `a` must already be reflexive (diagonal ≥ `1`); use
-    /// [`systolic_semiring::reflexive`].
-    pub fn eval<S: PathSemiring>(&self, a: &DenseMatrix<S>) -> DenseMatrix<S> {
-        let n = self.n;
-        assert_eq!(a.rows(), n);
-        assert_eq!(a.cols(), n);
-        // cols[g] = column (k+g) mod n as a stream in row order starting at
-        // the pivot row k (invariant maintained level by level).
-        let mut cols: Vec<Vec<S::Elem>> = (0..n).map(|g| a.col(g)).collect();
-        for _k in 0..n {
-            let pivot = cols[0].clone();
-            let mut next: Vec<Vec<S::Elem>> = Vec::with_capacity(n);
-            for col in cols.iter().take(n).skip(1) {
-                next.push(gnode_stream::<S>(col, &pivot));
-            }
-            next.push(rotate_stream::<S>(&pivot)); // delay tail
-            cols = next;
-        }
-        // After n levels the columns are back in natural order.
-        let mut out = DenseMatrix::<S>::zeros(n, n);
-        for (g, col) in cols.iter().enumerate() {
-            out.set_col(g, col);
-        }
-        out
-    }
+    out
 }
 
 /// One fuse G-node's stream function: latch the head (the pivot-row element
 /// `x[k][j]`), fuse the remaining elements against the pivot stream, and
 /// re-emit the head last (rotating the stream to start at row `k+1`).
-pub fn gnode_stream<S: PathSemiring>(col: &[S::Elem], pivot: &[S::Elem]) -> Vec<S::Elem> {
+fn gnode_stream<S: PathSemiring>(col: &[S::Elem], pivot: &[S::Elem]) -> Vec<S::Elem> {
     let n = col.len();
     debug_assert_eq!(pivot.len(), n);
     let q = col[0].clone();
@@ -234,7 +67,7 @@ pub fn gnode_stream<S: PathSemiring>(col: &[S::Elem], pivot: &[S::Elem]) -> Vec<
 }
 
 /// The delay tail's stream function: pure rotation (head emitted last).
-pub fn rotate_stream<S: PathSemiring>(stream: &[S::Elem]) -> Vec<S::Elem> {
+fn rotate_stream<S: PathSemiring>(stream: &[S::Elem]) -> Vec<S::Elem> {
     let n = stream.len();
     let mut out = Vec::with_capacity(n);
     out.extend_from_slice(&stream[1..]);
@@ -256,58 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_match_fig17() {
-        let g = GGraph::new(8);
-        assert_eq!(g.gnode_count(), 8 * 9);
-        assert_eq!(g.gnode_time(), 8);
-        let useful: usize = g.iter().map(|id| g.useful_ops(id)).sum();
-        assert_eq!(useful, 8 * 7 * 6); // n(n-1)(n-2)
-    }
-
-    #[test]
-    fn roles_and_columns() {
-        let g = GGraph::new(5);
-        assert_eq!(g.role(GnodeId { k: 2, g: 0 }), GNodeRole::PivotHead);
-        assert_eq!(g.role(GnodeId { k: 2, g: 3 }), GNodeRole::Fuse);
-        assert_eq!(g.role(GnodeId { k: 2, g: 5 }), GNodeRole::DelayTail);
-        assert_eq!(g.column_of(GnodeId { k: 2, g: 0 }), Some(2)); // pivot col
-        assert_eq!(g.column_of(GnodeId { k: 2, g: 4 }), Some(1)); // (2+4)%5
-        assert_eq!(g.column_of(GnodeId { k: 2, g: 5 }), None);
-    }
-
-    #[test]
-    fn dependences_are_neighbor_only() {
-        let g = GGraph::new(6);
-        for id in g.iter() {
-            if let Some(c) = g.column_dep(id) {
-                assert_eq!(c.k + 1, id.k);
-                assert_eq!(c.g, id.g + 1);
-                // In skewed coordinates the column dependence is vertical.
-                assert_eq!(g.h_of(c), g.h_of(id));
-            }
-            if let Some(p) = g.pivot_dep(id) {
-                assert_eq!(p.k, id.k);
-                assert_eq!(p.g + 1, id.g);
-                assert_eq!(g.h_of(p) + 1, g.h_of(id));
-            }
-        }
-    }
-
-    #[test]
-    fn earliest_start_respects_dependences() {
-        let g = GGraph::new(7);
-        for id in g.iter() {
-            let t = g.earliest_start(id);
-            if let Some(c) = g.column_dep(id) {
-                assert!(g.earliest_start(c) < t);
-            }
-            if let Some(p) = g.pivot_dep(id) {
-                assert!(g.earliest_start(p) < t);
-            }
-        }
-    }
-
-    #[test]
     fn eval_equals_warshall_bool() {
         for (n, edges) in [
             (4usize, vec![(0, 1), (1, 2), (2, 3)]),
@@ -315,7 +96,7 @@ mod tests {
             (6, vec![(5, 0), (0, 5), (1, 3), (3, 1), (2, 4)]),
         ] {
             let a = bool_adj(n, &edges);
-            let got = GGraph::new(n).eval::<Bool>(&reflexive(&a));
+            let got = eval::<Bool>(&reflexive(&a));
             assert_eq!(got, warshall(&a), "n={n}");
         }
     }
@@ -337,20 +118,8 @@ mod tests {
             d.set(i, j, w);
             c.set(i, j, w);
         }
-        assert_eq!(GGraph::new(n).eval::<MinPlus>(&reflexive(&d)), warshall(&d));
-        assert_eq!(GGraph::new(n).eval::<MaxMin>(&reflexive(&c)), warshall(&c));
-    }
-
-    #[test]
-    fn h_coordinates_form_parallelogram() {
-        let g = GGraph::new(5);
-        assert_eq!(g.h_range(0), (0, 5));
-        assert_eq!(g.h_range(4), (4, 9));
-        assert_eq!(g.h_max(), 9);
-        assert_eq!(g.at_h(2, 2), Some(GnodeId { k: 2, g: 0 }));
-        assert_eq!(g.at_h(2, 7), Some(GnodeId { k: 2, g: 5 }));
-        assert_eq!(g.at_h(2, 8), None);
-        assert_eq!(g.at_h(2, 1), None);
+        assert_eq!(eval::<MinPlus>(&reflexive(&d)), warshall(&d));
+        assert_eq!(eval::<MaxMin>(&reflexive(&c)), warshall(&c));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! | [`stages::pipelined`] | Fig. 12 | broadcasting → pipelined chains |
 //! | [`stages::unidirectional`] | Fig. 13–14 | bi-directional flow removed by flipping |
 //! | [`stages::regular`] | Fig. 15–16 | uniform communication via delay nodes |
-//! | [`ggraph::GGraph`] | Fig. 17 | diagonal paths collapsed into G-nodes |
+//! | [`GenericGGraph::closure`] | Fig. 17 | diagonal paths collapsed into G-nodes |
 //!
-//! [`validate`] re-checks each claimed property with the `systolic-dgraph`
-//! analyses, and [`grouping`] explores the Fig. 6 G-node alternatives and
+//! [`ggraph::eval`] is that G-graph's stream semantics, [`validate`]
+//! re-checks each claimed property with the `systolic-dgraph` analyses,
+//! and [`grouping`] explores the Fig. 6 G-node alternatives and
 //! the §4.3 varying-computation-time profiles.
 
 #![forbid(unsafe_code)]
@@ -26,7 +27,6 @@ pub mod stages;
 pub mod validate;
 
 pub use generic::{GFamily, GRowSpec, GenRole, GenericGGraph};
-pub use ggraph::{GGraph, GNodeRole, GnodeId};
 pub use grouping::{
     faddeev_time_grid, givens_time_grid, grouping_profile, lu_time_grid,
     triangular_inverse_time_grid, GroupingAxis, TimeGrid,

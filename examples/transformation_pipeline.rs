@@ -7,7 +7,9 @@
 //! ```
 
 use systolic::dgraph::{closure_full, closure_lean, eval_closure_graph};
-use systolic::transform::{pipelined, regular, unidirectional, validate_stage, GGraph};
+use systolic::transform::{
+    ggraph, pipelined, regular, unidirectional, validate_stage, GenericGGraph,
+};
 use systolic_closure::gnp;
 use systolic_semiring::{reflexive, warshall, Bool};
 
@@ -54,16 +56,16 @@ fn main() {
     }
 
     // And the collapsed G-graph (Fig. 17).
-    let gg = GGraph::new(n);
-    let got = gg.eval::<Bool>(&ar);
+    let gg = GenericGGraph::closure(n);
+    let got = ggraph::eval::<Bool>(&ar);
     assert_eq!(got, want);
     println!(
         "\nFig. 17 G-graph: {} rows × {} G-nodes, each of time {} — stream evaluation matches Warshall ✓",
         gg.rows(),
-        gg.row_len(),
-        gg.gnode_time()
+        gg.row(0).width,
+        gg.row(0).gnode_time()
     );
-    let useful: usize = gg.iter().map(|id| gg.useful_ops(id)).sum();
+    let useful = gg.total_useful_ops() as usize;
     println!(
         "useful ops {} = n(n-1)(n-2) = {}; total slots n²(n+1) = {} → utilization {:.4} = (n-1)(n-2)/(n(n+1))",
         useful,

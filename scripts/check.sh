@@ -6,6 +6,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace --all-targets
+# Examples that assert their own results (milliseconds, no files written).
+for ex in quickstart transformation_pipeline fault_tolerance network_routing program_analysis; do
+    "target/release/examples/$ex" > /dev/null
+done
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

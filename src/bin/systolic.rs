@@ -25,6 +25,7 @@ use systolic::closure::{
 };
 use systolic::metrics::LinearModel;
 use systolic::partition::{ClosureEngine, GsetSchedule, LinearEngine, PackedEngine};
+use systolic::transform::GenericGGraph;
 use systolic_semiring::Bool;
 
 fn fail(msg: &str) -> ! {
@@ -421,25 +422,30 @@ fn cmd_paths(args: &[String]) {
 }
 
 fn cmd_schedule(args: &[String]) {
-    let (mut n, mut m, mut grid) = (None, None, false);
+    let mut grid = false;
+    let mut sizes = Vec::new();
     for a in args {
         match a.as_str() {
             "--grid" => grid = true,
-            other => {
-                if n.is_none() {
-                    n = other.parse().ok();
-                } else {
-                    m = other.parse().ok();
-                }
-            }
+            other => sizes.push(
+                other
+                    .parse::<usize>()
+                    .unwrap_or_else(|_| fail(&format!("bad schedule argument `{other}`"))),
+            ),
         }
     }
-    let n: usize = n.unwrap_or_else(|| fail("schedule needs n"));
-    let m: usize = m.unwrap_or_else(|| fail("schedule needs m"));
+    let [n, m] = sizes[..] else {
+        fail("schedule needs <n> <m>")
+    };
+    if n < 2 {
+        fail("schedule n must be at least 2");
+    }
+    let m = positive("schedule m", m);
+    let gg = GenericGGraph::closure(n);
     let s = if grid {
-        GsetSchedule::grid(n, m)
+        GsetSchedule::grid(&gg, m)
     } else {
-        GsetSchedule::linear(n, m)
+        GsetSchedule::linear(&gg, m)
     };
     println!(
         "{} mapping, n = {n}, {} cells: {} G-sets ({} boundary), {} G-nodes",

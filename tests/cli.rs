@@ -125,6 +125,27 @@ fn schedule_reports_legality() {
 }
 
 #[test]
+fn schedule_bad_usage_exits_cleanly() {
+    // Regression: n < 2 and m = 0 used to panic inside the schedule
+    // builders, and unparsable tokens were skipped silently.
+    for args in [
+        vec!["schedule", "1", "2"],
+        vec!["schedule", "5", "0"],
+        vec!["schedule", "5", "0", "--grid"],
+        vec!["schedule", "5", "x"],
+        vec!["schedule", "five", "2"],
+        vec!["schedule", "5"],
+        vec!["schedule", "5", "2", "3"],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn info_prints_the_paper_formulas() {
     let out = bin().args(["info", "100", "8"]).output().unwrap();
     assert!(out.status.success());

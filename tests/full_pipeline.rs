@@ -7,7 +7,7 @@ use systolic::metrics::{compare_grid_run, compare_linear_run, LinearModel};
 use systolic::partition::{
     ClosureEngine, FixedArrayEngine, FixedLinearEngine, GridEngine, GsetSchedule, LinearEngine,
 };
-use systolic::transform::{pipelined, regular, unidirectional, GGraph};
+use systolic::transform::{ggraph, pipelined, regular, unidirectional, GenericGGraph};
 use systolic_semiring::{reflexive, warshall, Bool};
 
 #[test]
@@ -31,7 +31,7 @@ fn every_stage_and_engine_agrees_with_warshall() {
         }
 
         // G-graph stream semantics.
-        assert_eq!(GGraph::new(n).eval::<Bool>(&ar), want, "ggraph n={n}");
+        assert_eq!(ggraph::eval::<Bool>(&ar), want, "ggraph n={n}");
 
         // Simulated arrays.
         let engines: Vec<(&str, Box<dyn ClosureEngine<Bool>>)> = vec![
@@ -53,13 +53,14 @@ fn every_stage_and_engine_agrees_with_warshall() {
 #[test]
 fn schedules_are_legal_and_cover_the_ggraph() {
     for n in [4usize, 9, 16, 25] {
+        let gg = GenericGGraph::closure(n);
         for m in [1usize, 2, 3, 5, 8] {
-            let s = GsetSchedule::linear(n, m);
+            let s = GsetSchedule::linear(&gg, m);
             assert_eq!(s.total_gnodes(), n * (n + 1));
             s.verify_legal().unwrap();
         }
         for side in [1usize, 2, 3, 4] {
-            let s = GsetSchedule::grid(n, side);
+            let s = GsetSchedule::grid(&gg, side);
             assert_eq!(s.total_gnodes(), n * (n + 1));
             s.verify_legal().unwrap();
         }

@@ -1,7 +1,7 @@
 //! Property-based correctness: random problems through every layer.
 
 use systolic::partition::{ClosureEngine, GridEngine, LinearEngine};
-use systolic::transform::GGraph;
+use systolic::transform::ggraph;
 use systolic_semiring::{
     closure_by_squaring, reflexive, warshall, warshall_blocked, BitMatrix, Bool, DenseMatrix,
     MaxMin, MinPlus,
@@ -63,7 +63,7 @@ fn blocked_warshall_handles_non_dividing_tiles() {
 fn ggraph_stream_semantics_equal_warshall() {
     Checker::new("G-graph eval equals Warshall", 24).run(|rng| {
         let a = bool_matrix(rng, 12);
-        let got = GGraph::new(a.rows()).eval::<Bool>(&reflexive(&a));
+        let got = ggraph::eval::<Bool>(&reflexive(&a));
         assert_eq!(got, warshall(&a));
         Ok(())
     });

@@ -1,8 +1,8 @@
 //! Property-based scheduling: legality and coverage for arbitrary shapes,
-//! plus the earliest-start invariant of Fig. 20.
+//! on the closure G-graph and on the LU and Faddeev elimination graphs.
 
 use systolic::partition::GsetSchedule;
-use systolic::transform::GGraph;
+use systolic::transform::GenericGGraph;
 use systolic_util::Checker;
 
 #[test]
@@ -10,7 +10,7 @@ fn linear_schedules_legal() {
     Checker::new("linear schedules legal", 64).run(|rng| {
         let n = 2 + rng.gen_usize(26); // 2..=27
         let m = 1 + rng.gen_usize(11); // 1..=11
-        let s = GsetSchedule::linear(n, m);
+        let s = GsetSchedule::linear(&GenericGGraph::closure(n), m);
         assert_eq!(s.total_gnodes(), n * (n + 1));
         s.verify_legal().map_err(|e| format!("n={n} m={m}: {e}"))?;
         // No G-set exceeds the array size.
@@ -26,7 +26,7 @@ fn grid_schedules_legal() {
     Checker::new("grid schedules legal", 64).run(|rng| {
         let n = 2 + rng.gen_usize(22); // 2..=23
         let s = 1 + rng.gen_usize(5); // 1..=5
-        let sched = GsetSchedule::grid(n, s);
+        let sched = GsetSchedule::grid(&GenericGGraph::closure(n), s);
         assert_eq!(sched.total_gnodes(), n * (n + 1));
         sched
             .verify_legal()
@@ -39,35 +39,27 @@ fn grid_schedules_legal() {
 }
 
 #[test]
-fn earliest_start_tags_respect_dependences() {
-    Checker::new("earliest-start respects dependences", 64).run(|rng| {
-        let n = 2 + rng.gen_usize(38); // 2..=39
-        let gg = GGraph::new(n);
-        for id in gg.iter() {
-            let t = gg.earliest_start(id);
-            if let Some(c) = gg.column_dep(id) {
-                assert!(gg.earliest_start(c) < t, "n={n} column dep of {id:?}");
-            }
-            if let Some(p) = gg.pivot_dep(id) {
-                assert!(gg.earliest_start(p) < t, "n={n} pivot dep of {id:?}");
+fn elimination_schedules_legal() {
+    Checker::new("LU/Faddeev schedules legal", 64).run(|rng| {
+        let n = 2 + rng.gen_usize(18); // 2..=19
+        let c = 1 + rng.gen_usize(5); // 1..=5
+        for (name, gg) in [
+            ("lu", GenericGGraph::lu(n)),
+            ("faddeev", GenericGGraph::faddeev(n)),
+        ] {
+            for (mapping, sched) in [
+                ("linear", GsetSchedule::linear(&gg, c)),
+                ("grid", GsetSchedule::grid(&gg, c)),
+            ] {
+                assert_eq!(sched.total_gnodes(), gg.gnode_count());
+                sched
+                    .verify_legal()
+                    .map_err(|e| format!("{name} {mapping} n={n} c={c}: {e}"))?;
+                for e in sched.entries() {
+                    assert!(e.members.len() <= sched.cells, "{name} {mapping}");
+                }
             }
         }
-        Ok(())
-    });
-}
-
-#[test]
-fn h_coordinates_roundtrip() {
-    Checker::new("h-coordinates roundtrip", 64).run(|rng| {
-        let n = 2 + rng.gen_usize(38); // 2..=39
-        let gg = GGraph::new(n);
-        for id in gg.iter() {
-            let h = gg.h_of(id);
-            assert_eq!(gg.at_h(id.k, h), Some(id), "n={n}");
-        }
-        // Outside the parallelogram: nothing.
-        assert_eq!(gg.at_h(0, n + 1), None);
-        assert_eq!(gg.at_h(n - 1, n - 2), None);
         Ok(())
     });
 }
